@@ -9,28 +9,22 @@
 ///              socket, rejected submits retried — all 200 must complete.
 ///              p50/p99 submit-to-done latency and sessions/second are
 ///              advisory (1-CPU CI runners); counter_completed gates.
-///   burst      the lane-bound vs throughput-bound comparison: a
-///              500-session open burst against (a) lane scheduling at
-///              max_active=2 and (b) a 2-thread shared pool with
-///              max_active=500 — the same session-driving thread budget.
-///              Lane admission trickles at the completion rate (capacity
-///              2 running + 8 queued), so the burst degenerates into a
-///              REJECTED_BUSY retry storm; the pool admits everything up
-///              front. The binary asserts the structural claims (all 500
-///              complete in both configs, the pool rejects nothing, the
-///              lane config rejects plenty, the shared pricing cache is
-///              warm, and pool admission throughput is >= 2x lane's);
-///              wall-clock rates and latencies are advisory.
+///   burst      a 500-session open burst against a 2-thread pool with
+///              max_active=500: admission is an in-memory bound, not a
+///              thread count, so the pool admits everything up front. The
+///              binary asserts the structural claims (all 500 complete,
+///              the pool rejects nothing, the shared pricing cache is
+///              warm); wall-clock rates and latencies are advisory.
 ///   overload   a deterministic admission script against an *unstarted*
 ///              supervisor (the queue never drains, so the counts are
 ///              exact): low-priority fillers, a shedding high-priority
 ///              wave, then a same-priority wave that must be rejected.
 ///   aging      one priority-0 victim behind a continuous stream of
-///              priority-9 sessions on a single lane. The aging credit
-///              must lift the victim to completion before the stream ends:
-///              counter_starved is 0 by construction or the binary itself
-///              fails (ST_CHECK), so a starvation regression cannot slip
-///              through as "just a counter drift".
+///              priority-9 sessions through a single admission slot. The
+///              aging credit must lift the victim to completion before the
+///              stream ends: counter_starved is 0 by construction or the
+///              binary itself fails (ST_CHECK), so a starvation regression
+///              cannot slip through as "just a counter drift".
 ///
 /// The deterministic `counter_*` fields are diffed against
 /// bench/baselines/BENCH_daemon_load.json by
@@ -183,24 +177,21 @@ struct BurstResult {
   double wall_seconds = 0.0;    ///< First submit to last completion.
   double admit_seconds = 0.0;   ///< First submit to last *acceptance*.
   std::int64_t completed = 0;
-  std::int64_t rejections = 0;  ///< Retried REJECTED_BUSY responses.
   std::int64_t pricing_hits = 0;
   double p50 = 0.0;
   double p99 = 0.0;
 };
 
-/// One burst configuration: submit kBurstSessions as fast as the daemon
-/// will take them (retrying rejects), then drain every session to done.
-/// Unlike the closed-loop load phase, every client submits its whole
-/// share *before* waiting on any result — that is what makes admission
-/// capacity, not client pacing, the bottleneck under lane scheduling.
-BurstResult run_burst_config(const std::string& name,
-                             const ServeLimits& limits) {
-  const fs::path dir = scratch_dir("burst_" + name);
+/// The burst: submit kBurstSessions as fast as the daemon will take them,
+/// then drain every session to done. Unlike the closed-loop load phase,
+/// every client submits its whole share *before* waiting on any result,
+/// so admission capacity, not client pacing, is what the burst measures.
+BurstResult run_burst_phase(const ServeLimits& limits) {
+  const fs::path dir = scratch_dir("burst_pool");
   fs::remove_all(dir);
   const fs::path socket =
       fs::temp_directory_path() /
-      ("st_bb_" + name + "_" + std::to_string(::getpid()) + ".sock");
+      ("st_bb_pool_" + std::to_string(::getpid()) + ".sock");
 
   SessionSupervisor supervisor(dir, limits);
   supervisor.start();
@@ -214,7 +205,6 @@ BurstResult run_burst_config(const std::string& name,
   constexpr int kPerClient = kBurstSessions / kBurstClients;
   static_assert(kPerClient * kBurstClients == kBurstSessions);
   std::vector<std::vector<double>> latencies(kBurstClients);
-  std::vector<std::int64_t> rejections(kBurstClients, 0);
   std::vector<Clock::time_point> last_accept(kBurstClients);
   const auto started = Clock::now();
   std::vector<std::thread> clients;
@@ -235,18 +225,10 @@ BurstResult run_burst_config(const std::string& name,
             static_cast<std::uint64_t>(5000 + (t * kPerClient + i) % 10));
         spec.intervals = 2;
         spec.tenant = "burst-" + std::to_string(t);
-        while (true) {
-          const auto reply = client.submit(spec);
-          if (reply.accepted) {
-            ids.push_back(reply.id);
-            break;
-          }
-          ++rejections[static_cast<std::size_t>(t)];
-          const double wait =
-              std::min(reply.estimated_wait_seconds, 0.02);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(std::max(wait, 0.001)));
-        }
+        const auto reply = client.submit(spec);
+        ST_CHECK_MSG(reply.accepted,
+                     "burst submit rejected: " << reply.reason);
+        ids.push_back(reply.id);
       }
       last_accept[static_cast<std::size_t>(t)] = Clock::now();
       for (int i = 0; i < kPerClient; ++i) {
@@ -280,7 +262,6 @@ BurstResult run_burst_config(const std::string& name,
   result.pricing_hits = metrics.get("server.pricing_shared_hits").count;
   const std::int64_t rejected_busy =
       metrics.get("server.rejected_busy").count;
-  for (const std::int64_t r : rejections) result.rejections += r;
   std::vector<double> all;
   for (const auto& per_thread : latencies) {
     all.insert(all.end(), per_thread.begin(), per_thread.end());
@@ -292,22 +273,15 @@ BurstResult run_burst_config(const std::string& name,
   supervisor.stop();
   fs::remove_all(dir);
   ST_CHECK_MSG(result.completed == kBurstSessions,
-               "burst " << name << ": expected " << kBurstSessions
+               "burst: expected " << kBurstSessions
                         << " completions, got " << result.completed);
-  if (limits.pool_threads > 0) {
-    // The pool admits the whole burst: nothing is ever turned away, and
-    // identical sessions price their candidates out of the shared cache.
-    ST_CHECK_MSG(rejected_busy == 0,
-                 "shared pool rejected " << rejected_busy
-                                         << " burst submits");
-    ST_CHECK_MSG(result.pricing_hits > 0,
-                 "shared pricing cache never hit across "
-                     << kBurstSessions << " identical sessions");
-  } else {
-    ST_CHECK_MSG(result.rejections > 0,
-                 "a 500-session burst against 2 lanes + 8 queue slots "
-                 "should have seen REJECTED_BUSY");
-  }
+  // The pool admits the whole burst: nothing is ever turned away, and
+  // identical sessions price their candidates out of the shared cache.
+  ST_CHECK_MSG(rejected_busy == 0,
+               "shared pool rejected " << rejected_busy << " burst submits");
+  ST_CHECK_MSG(result.pricing_hits > 0,
+               "shared pricing cache never hit across "
+                   << kBurstSessions << " identical sessions");
   return result;
 }
 
@@ -374,14 +348,15 @@ AgingResult run_aging_phase() {
   const fs::path dir = scratch_dir("aging");
   fs::remove_all(dir);
   ServeLimits limits;
-  limits.max_active = 1;  // one lane: the victim must *win* pops to run
+  limits.max_active = 1;  // one slot: the victim must *win* pops to run
   limits.max_queued = 4;
   limits.aging_seconds = 0.01;
   SessionSupervisor supervisor(dir, limits);
   supervisor.start();
 
-  // Occupy the lane first so the victim actually waits in the queue and
-  // has to out-age the hostile stream to get popped.
+  // Occupy the slot first (submit admits at once) so the victim actually
+  // waits in the queue and has to out-age the hostile stream to get
+  // popped.
   const auto blocker = supervisor.submit(
       short_session(499, /*priority=*/9));
   ST_CHECK_MSG(blocker.admission == SessionSupervisor::Admission::kAccepted,
@@ -455,18 +430,12 @@ int main(int argc, char** argv) {
       .add_field("latency_p99_seconds", load.p99)
       .add_field("sessions_per_second", per_second);
 
-  ServeLimits lane_limits;
-  lane_limits.max_active = 2;
-  lane_limits.max_queued = 8;
-  lane_limits.aging_seconds = 0.05;
-  const BurstResult lane = run_burst_config("lane", lane_limits);
-
   ServeLimits pool_limits;
-  pool_limits.pool_threads = 2;  // same session-driving thread budget
+  pool_limits.pool_threads = 2;
   pool_limits.max_active = kBurstSessions;
   pool_limits.max_queued = kBurstSessions;
   pool_limits.aging_seconds = 0.05;
-  const BurstResult pool = run_burst_config("pool", pool_limits);
+  const BurstResult pool = run_burst_phase(pool_limits);
 
   const auto admit_rate = [](const BurstResult& r) {
     return r.admit_seconds > 0
@@ -478,27 +447,6 @@ int main(int argc, char** argv) {
                ? static_cast<double>(kBurstSessions) / r.wall_seconds
                : 0.0;
   };
-  const double admit_speedup =
-      admit_rate(lane) > 0 ? admit_rate(pool) / admit_rate(lane) : 0.0;
-  // The headline structural claim, asserted in-binary: with the same two
-  // session-driving threads, the pool takes the burst at >= 2x the lane
-  // config's sessions-per-second of admission. (Lane admission is paced
-  // by completions — capacity 10 for a 500-session burst — so in practice
-  // this ratio is >> 2. Completion-rate speedup stays advisory: on a
-  // 1-CPU runner both configs are CPU-bound once admitted.)
-  ST_CHECK_MSG(admit_speedup >= 2.0,
-               "shared pool admitted the burst only " << admit_speedup
-                   << "x faster than lane scheduling (expected >= 2x)");
-
-  summary
-      .add_row("burst_lane", lane.wall_seconds, 2, kBurstSessions)
-      .add_field("counter_completed", static_cast<double>(lane.completed))
-      .add_field("rejections_retried", static_cast<double>(lane.rejections))
-      .add_field("admit_seconds", lane.admit_seconds)
-      .add_field("admitted_per_second", admit_rate(lane))
-      .add_field("latency_p50_seconds", lane.p50)
-      .add_field("latency_p99_seconds", lane.p99)
-      .add_field("sessions_per_second", done_rate(lane));
   summary
       .add_row("burst_pool", pool.wall_seconds, 2, kBurstSessions)
       .add_field("counter_completed", static_cast<double>(pool.completed))
@@ -507,7 +455,6 @@ int main(int argc, char** argv) {
                  pool.pricing_hits > 0 ? 1.0 : 0.0)
       .add_field("admit_seconds", pool.admit_seconds)
       .add_field("admitted_per_second", admit_rate(pool))
-      .add_field("admit_speedup_vs_lane", admit_speedup)
       .add_field("latency_p50_seconds", pool.p50)
       .add_field("latency_p99_seconds", pool.p99)
       .add_field("sessions_per_second", done_rate(pool));
@@ -532,16 +479,10 @@ int main(int argc, char** argv) {
                  Table::num(load.wall_seconds, 3), Table::num(load.p50, 4),
                  Table::num(load.p99, 4),
                  std::to_string(load.rejections) + " rejects retried"});
-  table.add_row({"burst_lane", std::to_string(lane.completed),
-                 Table::num(lane.wall_seconds, 3), Table::num(lane.p50, 4),
-                 Table::num(lane.p99, 4),
-                 "admitted in " + Table::num(lane.admit_seconds, 3) + "s, " +
-                     std::to_string(lane.rejections) + " rejects retried"});
   table.add_row({"burst_pool", std::to_string(pool.completed),
                  Table::num(pool.wall_seconds, 3), Table::num(pool.p50, 4),
                  Table::num(pool.p99, 4),
-                 "admitted in " + Table::num(pool.admit_seconds, 3) + "s (" +
-                     Table::num(admit_speedup, 1) + "x lane), " +
+                 "admitted in " + Table::num(pool.admit_seconds, 3) + "s, " +
                      std::to_string(pool.pricing_hits) + " pricing hits"});
   table.add_row({"overload", "12", "-", "-", "-",
                  std::to_string(overload.shed) + " shed, " +

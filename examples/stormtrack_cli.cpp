@@ -17,6 +17,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "ckpt/checkpoint.hpp"
@@ -87,6 +88,14 @@ std::string join_names(const std::vector<std::string>& names) {
     out += n;
   }
   return out;
+}
+
+/// "+inserted/-deleted/=retained" nest-diff cell.
+std::string diff_cell(std::size_t inserted, std::size_t deleted,
+                      std::size_t retained) {
+  std::ostringstream cell;
+  cell << '+' << inserted << "/-" << deleted << "/=" << retained;
+  return cell.str();
 }
 
 [[noreturn]] void usage(int code) {
@@ -298,9 +307,8 @@ int run_coupled(Machine& machine, const Options& opt) {
       const IntervalReport r = sim.advance();
       t.add_row({std::to_string(r.interval),
                  std::to_string(r.rois_detected),
-                 "+" + std::to_string(r.diff.inserted.size()) + "/-" +
-                     std::to_string(r.diff.deleted.size()) + "/=" +
-                     std::to_string(r.diff.retained.size()),
+                 diff_cell(r.diff.inserted.size(), r.diff.deleted.size(),
+                           r.diff.retained.size()),
                  r.realloc.chosen,
                  Table::num(r.realloc.committed.actual_exec, 2),
                  Table::num(r.realloc.committed.actual_redist * 1e3, 2),
@@ -552,9 +560,9 @@ int main(int argc, char** argv) {
   for (std::size_t e = 0; e < r.outcomes.size(); ++e) {
     const StepOutcome& o = r.outcomes[e];
     t.add_row({std::to_string(e), std::to_string(trace[e].size()),
-               "+" + std::to_string(o.num_inserted) + "/-" +
-                   std::to_string(o.num_deleted) + "/=" +
-                   std::to_string(o.num_retained),
+               diff_cell(static_cast<std::size_t>(o.num_inserted),
+                         static_cast<std::size_t>(o.num_deleted),
+                         static_cast<std::size_t>(o.num_retained)),
                o.chosen, Table::num(o.committed.actual_exec, 2),
                Table::num(o.committed.actual_redist * 1e3, 2),
                Table::num(o.traffic.avg_hops_per_byte(), 2),

@@ -49,7 +49,9 @@ struct Options {
       "  --state-dir DIR        journal + per-session checkpoints\n"
       "                         (default stormtrack-state); restarting on\n"
       "                         a used state dir recovers its sessions\n"
-      "  --max-active N         concurrent running sessions (default 2)\n"
+      "  --max-active N         admitted (running) sessions at once; an\n"
+      "                         admission bound, not a thread count\n"
+      "                         (default 2)\n"
       "  --max-queued N         queued sessions before REJECTED_BUSY\n"
       "                         (default 8)\n"
       "  --deadline S           default per-session wall-clock budget in\n"
@@ -58,14 +60,10 @@ struct Options {
       "                         (default 3)\n"
       "  --backoff S            first retry backoff seconds (default 0.05)\n"
       "  --checkpoint-every N   checkpoint cadence in intervals (default 1)\n"
-      "  --threads N            executor threads per running session,\n"
-      "                         0 = serial (default 0); lane mode only —\n"
-      "                         cannot be combined with --pool-threads\n"
-      "  --pool-threads N       shared-pool scheduling: N worker threads\n"
-      "                         cooperatively slice ALL running sessions\n"
-      "                         (max-active becomes an admission bound, not\n"
-      "                         a thread count); 0 = lane-per-session\n"
-      "                         (default 0)\n"
+      "  --pool-threads N       worker threads that cooperatively slice\n"
+      "                         all running sessions, one adaptation\n"
+      "                         interval per slice; 0 = one per\n"
+      "                         --max-active slot (default 0)\n"
       "  --aging S              queue-wait seconds per +1 effective\n"
       "                         priority in the fair queue; 0 disables\n"
       "                         aging (default 0.5)\n"
@@ -121,9 +119,6 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
       if ((value = need_value(i, arg)) == nullptr) return std::nullopt;
       opt.limits.checkpoint_every = std::atoi(value);
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      if ((value = need_value(i, arg)) == nullptr) return std::nullopt;
-      opt.limits.executor_threads = std::atoi(value);
     } else if (std::strcmp(arg, "--pool-threads") == 0) {
       if ((value = need_value(i, arg)) == nullptr) return std::nullopt;
       opt.limits.pool_threads = std::atoi(value);
@@ -148,12 +143,6 @@ std::optional<Options> parse(int argc, char** argv) {
       opt.limits.max_attempts <= 0 || opt.limits.checkpoint_every <= 0 ||
       opt.limits.pool_threads < 0) {
     std::cerr << "limits must be positive (--max-queued may be 0)\n";
-    return std::nullopt;
-  }
-  if (opt.limits.pool_threads > 0 && opt.limits.executor_threads > 0) {
-    std::cerr << "--pool-threads and --threads are mutually exclusive: under "
-                 "a shared pool, sessions submit into the pool instead of "
-                 "owning private executors\n";
     return std::nullopt;
   }
   return opt;

@@ -23,8 +23,8 @@
 /// must submit into it instead of constructing private ThreadPoolExecutors
 /// — N sessions each spawning their own pool multiplies threads by N and
 /// thrashes the cores the shared pool was sized for. The service layer
-/// enforces this (ServeLimits rejects pool_threads > 0 combined with
-/// executor_threads > 0).
+/// follows it by construction: every session's pipeline gets the
+/// supervisor's one pool, and ServeLimits has no per-session thread knob.
 
 #include <cstdint>
 

@@ -100,11 +100,11 @@ enum class MsgType : std::uint8_t {
 struct TenantStats {
   std::string tenant;            ///< Empty = the default tenant.
   std::uint64_t submitted = 0;   ///< Submits that passed validation.
-  std::uint64_t admitted = 0;    ///< Accepted into the queue or a lane.
+  std::uint64_t admitted = 0;    ///< Accepted into the queue.
   std::uint64_t rejected = 0;    ///< Turned away at admission (busy).
   std::uint64_t shed = 0;        ///< Displaced from the queue by overload.
   std::uint64_t completed = 0;   ///< Reached the done state.
-  double cpu_seconds = 0.0;      ///< Wall seconds of lane time consumed.
+  double cpu_seconds = 0.0;      ///< Wall seconds of slice time consumed.
 };
 
 /// Daemon-level snapshot carried by kStatsReply.
@@ -124,7 +124,9 @@ struct ServerStats {
   // old decoders (which stop at the tenants) still parse new payloads and
   // new decoders read zeros from old payloads (get_server_stats stops at
   // an exhausted reader). Still protocol v2 — extension, not a break.
-  std::uint64_t pool_threads = 0;    ///< 0 = lane-per-session scheduling.
+  /// Session workers; 0 only when decoded from a payload that predates
+  /// this block.
+  std::uint64_t pool_threads = 0;
   std::uint64_t pool_executing = 0;  ///< Sessions mid-slice on a worker.
   std::uint64_t pool_runnable = 0;   ///< Admitted, awaiting their next slice.
   std::uint64_t pool_delayed = 0;    ///< Parked in retry backoff.

@@ -9,7 +9,6 @@
 #include "ckpt/checkpoint.hpp"
 #include "core/coupled.hpp"
 #include "core/machine.hpp"
-#include "exec/executor.hpp"
 #include "util/check.hpp"
 
 namespace stormtrack {
@@ -36,19 +35,9 @@ SessionSupervisor::SessionSupervisor(std::filesystem::path state_dir,
   ST_CHECK_MSG(limits_.max_queued >= 0, "max_queued must not be negative");
   ST_CHECK_MSG(limits_.max_attempts > 0, "max_attempts must be positive");
   ST_CHECK_MSG(limits_.pool_threads >= 0, "pool_threads must not be negative");
-  // The executor nesting hazard: with a shared pool, every session's
-  // pipeline must submit into it. executor_threads would hand each of the
-  // max_active admitted sessions its own private ThreadPoolExecutor on
-  // top of the pool's workers — oversubscribing the cores the pool was
-  // sized for — so the combination is a configuration error, not a
-  // silently-ignored knob.
-  ST_CHECK_MSG(!(limits_.pool_threads > 0 && limits_.executor_threads > 0),
-               "executor_threads (private per-session pools) cannot be "
-               "combined with pool_threads (shared executor pool): sessions "
-               "must submit into the shared pool; set executor_threads to 0");
-  if (limits_.pool_threads > 0) {
-    pool_ = std::make_unique<SharedPoolExecutor>(limits_.pool_threads);
-  }
+  // 0 = one worker per admission slot: max_active sessions advance at once.
+  if (limits_.pool_threads == 0) limits_.pool_threads = limits_.max_active;
+  pool_ = std::make_unique<SharedPoolExecutor>(limits_.pool_threads);
   next_id_ = journal_.max_id() + 1;
   for (const auto& [id, replayed] : journal_.replayed()) {
     auto session = std::make_unique<Session>();
@@ -82,14 +71,13 @@ SessionSupervisor::RecoveryReport SessionSupervisor::recover() {
     // Interrupted mid-run or still queued when the previous daemon died:
     // run it (again). A previously started session resumes from its
     // checkpoint directory. sessions_ iterates in id order, so recovered
-    // sessions re-enter their lanes FIFO by original submit order.
+    // sessions are admitted FIFO by original submit order (at start()).
     session->status.state = SessionState::kQueued;
     queue_.push(id, session->status.spec.priority, Clock::now());
     ++report.requeued;
   }
   metrics_.add_count("server.recovered_sessions", report.terminal);
   metrics_.add_count("server.requeued_sessions", report.requeued);
-  work_cv_.notify_all();
   return report;
 }
 
@@ -98,22 +86,13 @@ void SessionSupervisor::start() {
   if (started_) return;
   started_ = true;
   stopping_ = false;
-  // Lane mode: one dedicated thread per concurrently running session.
-  // Pool mode: pool_threads cooperative workers, however many sessions
-  // are admitted.
-  const int threads =
-      pool_ != nullptr ? limits_.pool_threads : limits_.max_active;
-  lanes_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    lanes_.emplace_back([this] {
-      if (pool_ != nullptr) {
-        worker_loop();
-      } else {
-        lane_loop();
-      }
-    });
+  // pool_threads cooperative workers, however many sessions are admitted.
+  workers_.reserve(static_cast<std::size_t>(limits_.pool_threads));
+  for (int i = 0; i < limits_.pool_threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
   watchdog_ = std::thread([this] { watchdog_loop(); });
+  admit_locked();  // sessions requeued by recover()
 }
 
 void SessionSupervisor::stop() {
@@ -121,8 +100,8 @@ void SessionSupervisor::stop() {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ && !started_) return;
     stopping_ = true;
-    // Trip every running session's token; lanes observe CancelledError at
-    // the next adaptation point and mark the session interrupted. No
+    // Trip every running session's token; a session mid-slice observes
+    // CancelledError at its next adaptation point and is interrupted. No
     // terminal journal record is written, so recovery after a graceful
     // stop and after SIGKILL are the same code path.
     for (auto& [id, session] : sessions_) {
@@ -135,18 +114,17 @@ void SessionSupervisor::stop() {
     events_cv_.notify_all();
     watchdog_cv_.notify_all();
   }
-  for (auto& lane : lanes_) {
-    if (lane.joinable()) lane.join();
+  for (auto& worker : workers_) {
+    if (worker.joinable()) worker.join();
   }
-  lanes_.clear();
+  workers_.clear();
   if (watchdog_.joinable()) watchdog_.join();
   const std::lock_guard<std::mutex> lock(mutex_);
-  // Pool mode: sessions parked in the run queue (or in retry backoff)
-  // when the workers exited never observed their cancelled token. Mark
-  // them interrupted here — like the lane path, deliberately without a
-  // terminal journal record, so recovery after a graceful stop and after
-  // SIGKILL stay the same code path. Their checkpoints survive; their
-  // live simulations are dropped.
+  // Sessions parked in the run queue (or in retry backoff) when the
+  // workers exited never observed their cancelled token. Mark them
+  // interrupted here — deliberately without a terminal journal record, so
+  // recovery after a graceful stop and after SIGKILL stay the same code
+  // path. Their checkpoints survive; their live simulations are dropped.
   for (auto& [id, session] : sessions_) {
     if (session->status.state != SessionState::kRunning) continue;
     session->task.reset();
@@ -244,10 +222,12 @@ SessionSupervisor::SubmitResult SessionSupervisor::submit(
   queue_.push(id, spec.priority, now);
   bump_locked("server.accepted");
   ++tenant.admitted;
+  // A free slot admits the session right here, so nothing ever waits (or
+  // gets shed) in the queue while capacity is idle.
+  admit_locked();
   result.admission = Admission::kAccepted;
   result.id = id;
   result.queued = static_cast<int>(queue_.size());
-  work_cv_.notify_one();
   return result;
 }
 
@@ -270,8 +250,7 @@ SessionStatus SessionSupervisor::cancel(std::uint64_t id,
     case SessionState::kRunning:
       session.cancel_kind = CancelKind::kClient;
       session.token.cancel(reason);
-      // A pool-mode session parked between slices (yield queue is FIFO,
-      // or it is sitting out a retry backoff) gets its cancellation slice
+      // A session parked in a retry backoff gets its cancellation slice
       // promptly instead of waiting for the backoff to elapse.
       promote_locked(session);
       break;
@@ -341,10 +320,8 @@ MetricsRegistry SessionSupervisor::metrics() const {
   const SharedPricingCache::Stats pricing = pricing_.stats();
   snapshot.add_count("server.pricing_shared_hits", pricing.hits);
   snapshot.add_count("server.pricing_shared_misses", pricing.misses);
-  if (pool_ != nullptr) {
-    snapshot.add_count("server.pool_batches",
-                       pool_->occupancy().completed_batches);
-  }
+  snapshot.add_count("server.pool_batches",
+                     pool_->occupancy().completed_batches);
   return snapshot;
 }
 
@@ -362,19 +339,17 @@ ServerStats SessionSupervisor::stats() const {
   stats.estimated_wait_seconds = estimated_wait_locked();
   stats.tenants.reserve(tenants_.size());
   for (const auto& [name, tenant] : tenants_) stats.tenants.push_back(tenant);
-  if (pool_ != nullptr) {
-    const PoolOccupancy occ = pool_->occupancy();
-    stats.pool_threads = static_cast<std::uint64_t>(occ.threads);
-    stats.pool_batches = static_cast<std::uint64_t>(occ.completed_batches);
-    for (const auto& [id, session] : sessions_) {
-      if (session->status.state != SessionState::kRunning) continue;
-      if (session->slicing) {
-        ++stats.pool_executing;
-      } else if (session->queued_runnable) {
-        ++stats.pool_runnable;
-      } else {
-        ++stats.pool_delayed;
-      }
+  const PoolOccupancy occ = pool_->occupancy();
+  stats.pool_threads = static_cast<std::uint64_t>(occ.threads);
+  stats.pool_batches = static_cast<std::uint64_t>(occ.completed_batches);
+  for (const auto& [id, session] : sessions_) {
+    if (session->status.state != SessionState::kRunning) continue;
+    if (session->slicing) {
+      ++stats.pool_executing;
+    } else if (session->queued_runnable) {
+      ++stats.pool_runnable;
+    } else {
+      ++stats.pool_delayed;
     }
   }
   const SharedPricingCache::Stats pricing = pricing_.stats();
@@ -385,16 +360,13 @@ ServerStats SessionSupervisor::stats() const {
 
 double SessionSupervisor::estimated_wait_locked() const {
   if (ewma_session_seconds_ <= 0.0) return 0.0;
-  // A new arrival waits behind the whole queue, spread over the scheduler
-  // width: lanes in lane mode, pool workers in pool mode.
-  const int width =
-      pool_ != nullptr ? limits_.pool_threads : limits_.max_active;
+  // A new arrival waits behind the whole queue, spread over the workers.
   return ewma_session_seconds_ *
          (static_cast<double>(queue_.size()) + 1.0) /
-         static_cast<double>(width);
+         static_cast<double>(limits_.pool_threads);
 }
 
-void SessionSupervisor::account_lane_time_locked(const std::string& tenant,
+void SessionSupervisor::account_session_time_locked(const std::string& tenant,
                                                  double seconds) {
   TenantStats& t = tenants_[tenant];
   t.tenant = tenant;
@@ -430,44 +402,29 @@ void SessionSupervisor::bump_locked(std::string_view counter,
   metrics_.add_count(counter, amount);
 }
 
-void SessionSupervisor::lane_loop() {
-  while (true) {
-    Session* session = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;
-      const std::optional<std::uint64_t> next = queue_.pop_best(Clock::now());
-      if (!next.has_value()) continue;
-      session = sessions_.at(*next).get();
-      session->status.state = SessionState::kRunning;
-      // Arm the wall-clock budget once, spanning every attempt and
-      // backoff of this session (recovery re-arms in the new process: the
-      // budget is per daemon life, not cumulative across crashes).
-      const double deadline =
-          session->status.spec.deadline_seconds > 0.0
-              ? session->status.spec.deadline_seconds
-              : limits_.session_deadline_seconds;
-      if (deadline > 0.0 && !session->deadline_armed) {
-        session->deadline_at =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(deadline));
-        session->deadline_armed = true;
-      }
+void SessionSupervisor::admit_locked() {
+  if (!started_ || stopping_) return;
+  const auto now = Clock::now();
+  while (live_sessions_ < limits_.max_active) {
+    const std::optional<std::uint64_t> next = queue_.pop_best(now);
+    if (!next.has_value()) return;
+    Session& session = *sessions_.at(*next);
+    session.status.state = SessionState::kRunning;
+    session.start_attempt = session.status.attempts;
+    ++live_sessions_;
+    // Arm the wall-clock budget once, spanning every attempt and backoff
+    // of this session (recovery re-arms in the new process: the budget is
+    // per daemon life, not cumulative across crashes).
+    const double deadline = session.status.spec.deadline_seconds > 0.0
+                                ? session.status.spec.deadline_seconds
+                                : limits_.session_deadline_seconds;
+    if (deadline > 0.0 && !session.deadline_armed) {
+      session.deadline_at =
+          now + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(deadline));
+      session.deadline_armed = true;
     }
-    const auto lane_started = Clock::now();
-    run_session(*session);
-    const double lane_seconds =
-        std::chrono::duration<double>(Clock::now() - lane_started).count();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      account_lane_time_locked(session->status.spec.tenant, lane_seconds);
-      if (session->status.state == SessionState::kDone) {
-        TenantStats& tenant = tenants_[session->status.spec.tenant];
-        tenant.tenant = session->status.spec.tenant;
-        ++tenant.completed;
-      }
-    }
+    promote_locked(session);
   }
 }
 
@@ -480,25 +437,23 @@ void SessionSupervisor::watchdog_loop() {
       if (!session->deadline_armed || session->deadline_at > now) continue;
       if (session->token.cancelled()) continue;
       // The per-attempt token deadline usually fires first; the watchdog
-      // is the backstop that catches sessions sleeping in backoff or
+      // is the backstop that catches sessions parked in backoff or
       // wedged between polls.
       session->token.cancel("session deadline exceeded (watchdog)");
       bump_locked("server.watchdog_cancels");
       promote_locked(*session);
     }
 
-    // Pool mode: promote parked sessions — retry backoffs that have
-    // elapsed, and any cancelled session waiting between slices — so no
-    // thread ever sleeps on a session's behalf.
-    if (pool_ != nullptr) {
-      for (auto& [id, session] : sessions_) {
-        if (session->status.state != SessionState::kRunning ||
-            session->slicing || session->queued_runnable) {
-          continue;
-        }
-        if (session->runnable_at <= now || session->token.cancelled()) {
-          promote_locked(*session);
-        }
+    // Promote parked sessions — retry backoffs that have elapsed, and any
+    // cancelled session waiting out a backoff — so no thread ever sleeps
+    // on a session's behalf.
+    for (auto& [id, session] : sessions_) {
+      if (session->status.state != SessionState::kRunning ||
+          session->slicing || session->queued_runnable) {
+        continue;
+      }
+      if (session->runnable_at <= now || session->token.cancelled()) {
+        promote_locked(*session);
       }
     }
 
@@ -533,8 +488,6 @@ struct SessionSupervisor::SessionTask {
   CoupledConfig cfg;
   std::uint64_t config_fp = 0;
   int target_intervals = 0;
-  /// Lane mode only (see ServeLimits::executor_threads).
-  std::unique_ptr<ThreadPoolExecutor> private_pool;
   std::unique_ptr<CoupledCheckpointer> checkpointer;
   std::unique_ptr<CoupledSimulation> sim;
 
@@ -575,19 +528,10 @@ std::unique_ptr<SessionSupervisor::SessionTask> SessionSupervisor::build_task(
   cfg.manager.cancel = &session.token;
   cfg.workload = spec.workload;
   if (limits_.shared_pricing) cfg.manager.shared_pricing = &pricing_;
-
-  if (pool_ != nullptr) {
-    // Shared-pool mode: the session's pipeline submits its data-parallel
-    // batches into the supervisor's pool — never a private executor (the
-    // constructor rejects executor_threads > 0 alongside pool_threads).
-    cfg.manager.executor = pool_.get();
-    cfg.executor = pool_.get();
-  } else if (limits_.executor_threads > 0) {
-    task->private_pool =
-        std::make_unique<ThreadPoolExecutor>(limits_.executor_threads);
-    cfg.manager.executor = task->private_pool.get();
-    cfg.executor = task->private_pool.get();
-  }
+  // The session's pipeline submits its data-parallel batches into the
+  // supervisor's pool — never a private executor.
+  cfg.manager.executor = pool_.get();
+  cfg.executor = pool_.get();
 
   const std::filesystem::path dir = checkpoint_dir(id);
   std::filesystem::create_directories(dir);
@@ -637,138 +581,47 @@ bool SessionSupervisor::step_task(Session& session) {
   return task.sim->interval() < task.target_intervals;
 }
 
-std::uint64_t SessionSupervisor::finish_task(Session& session) {
-  SessionTask& task = *session.task;
-  task.checkpointer->checkpoint_now(*task.sim);
-  return task.sim->state_fingerprint();
-}
-
-std::uint64_t SessionSupervisor::run_attempt(Session& session,
-                                             bool first_in_process) {
-  session.task = build_task(session, first_in_process);
-  while (step_task(session)) {
-  }
-  const std::uint64_t fingerprint = finish_task(session);
-  session.task.reset();
-  return fingerprint;
-}
-
-void SessionSupervisor::run_session(Session& session) {
-  std::uint64_t id = 0;
-  int start_attempt = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    id = session.status.id;
-    start_attempt = session.status.attempts;
-  }
-  std::string last_error;
-  for (int attempt = start_attempt + 1;; ++attempt) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      session.status.attempts = attempt;
-    }
-    journal_.started(id, attempt);
-    try {
-      const std::uint64_t fingerprint =
-          run_attempt(session, attempt == start_attempt + 1);
-      int intervals_done = 0;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        intervals_done = session.status.intervals_done;
-      }
-      journal_.finished(id, fingerprint, intervals_done);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      session.status.state = SessionState::kDone;
-      session.status.fingerprint = fingerprint;
-      bump_locked("server.completed");
-      events_cv_.notify_all();
-      return;
-    } catch (const CancelledError& e) {
-      session.task.reset();
-      const std::lock_guard<std::mutex> lock(mutex_);
-      switch (session.cancel_kind) {
-        case CancelKind::kClient:
-          journal_.cancelled(id, e.what());
-          session.status.state = SessionState::kCancelled;
-          session.status.error = e.what();
-          bump_locked("server.cancelled");
-          break;
-        case CancelKind::kShutdown:
-          // Deliberately no journal record: the next daemon's recovery
-          // requeues this session exactly as after a crash.
-          session.status.state = SessionState::kInterrupted;
-          break;
-        case CancelKind::kNone:  // the session's own deadline
-          journal_.failed(id, e.what());
-          session.status.state = SessionState::kFailed;
-          session.status.error = e.what();
-          bump_locked("server.deadline_failures");
-          break;
-      }
-      events_cv_.notify_all();
-      return;
-    } catch (const std::exception& e) {
-      session.task.reset();
-      last_error = e.what();
-    }
-
-    if (attempt - start_attempt >= limits_.max_attempts) {
-      journal_.quarantined(id, last_error);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      session.status.state = SessionState::kQuarantined;
-      session.status.error = last_error;
-      bump_locked("server.quarantined");
-      events_cv_.notify_all();
-      return;
-    }
-
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      bump_locked("server.retries");
-    }
-    // Cancellable exponential backoff (the same shape as
-    // SweepRunner::run_supervised): first retry sleeps backoff_seconds,
-    // doubling after. A deadline or cancel during the sleep wakes early.
-    const double backoff =
-        std::ldexp(limits_.backoff_seconds, attempt - start_attempt - 1);
-    if (backoff > 0.0 && !session.token.wait_for(backoff)) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      switch (session.cancel_kind) {
-        case CancelKind::kClient:
-          journal_.cancelled(id, "cancelled during retry backoff");
-          session.status.state = SessionState::kCancelled;
-          session.status.error = "cancelled during retry backoff";
-          bump_locked("server.cancelled");
-          break;
-        case CancelKind::kShutdown:
-          session.status.state = SessionState::kInterrupted;
-          break;
-        case CancelKind::kNone: {
-          const std::string error =
-              "session deadline expired during retry backoff (last error: " +
-              last_error + ")";
-          journal_.failed(id, error);
-          session.status.state = SessionState::kFailed;
-          session.status.error = error;
-          bump_locked("server.deadline_failures");
-          break;
-        }
-      }
-      events_cv_.notify_all();
-      return;
-    }
-  }
-}
-
-// ----------------------------------------------------- cooperative pool mode
-
 void SessionSupervisor::promote_locked(Session& session) {
-  if (pool_ == nullptr) return;
   if (session.status.state != SessionState::kRunning) return;
   if (session.slicing || session.queued_runnable) return;
   session.queued_runnable = true;
   run_queue_.push_back(session.status.id);
   work_cv_.notify_one();
+}
+
+void SessionSupervisor::end_cancelled_locked(Session& session,
+                                             const std::string& what,
+                                             bool in_backoff) {
+  const std::uint64_t id = session.status.id;
+  switch (session.cancel_kind) {
+    case CancelKind::kClient: {
+      const std::string error =
+          in_backoff ? "cancelled during retry backoff" : what;
+      journal_.cancelled(id, error);
+      session.status.state = SessionState::kCancelled;
+      session.status.error = error;
+      bump_locked("server.cancelled");
+      break;
+    }
+    case CancelKind::kShutdown:
+      // Deliberately no journal record: the next daemon's recovery
+      // requeues this session exactly as after a crash.
+      session.status.state = SessionState::kInterrupted;
+      break;
+    case CancelKind::kNone: {  // the session's own deadline
+      const std::string error =
+          in_backoff ? "session deadline expired during retry backoff "
+                       "(last error: " +
+                           session.last_error + ")"
+                     : what;
+      journal_.failed(id, error);
+      session.status.state = SessionState::kFailed;
+      session.status.error = error;
+      bump_locked("server.deadline_failures");
+      break;
+    }
+  }
+  events_cv_.notify_all();
 }
 
 SessionSupervisor::SliceOutcome SessionSupervisor::run_slice(
@@ -783,16 +636,24 @@ SessionSupervisor::SliceOutcome SessionSupervisor::run_slice(
       int attempt = 0;
       {
         const std::lock_guard<std::mutex> lock(mutex_);
+        // An earlier attempt of this admission failed and the session sat
+        // out its retry backoff: a token that tripped meanwhile ends the
+        // session here, before another attempt starts.
+        if (session.status.attempts > session.start_attempt &&
+            session.token.cancelled()) {
+          end_cancelled_locked(session, "", /*in_backoff=*/true);
+          return SliceOutcome::kTerminal;
+        }
         attempt = ++session.status.attempts;
       }
       journal_.started(id, attempt);
       session.task = build_task(session, attempt == session.start_attempt + 1);
     }
-    // Cancellation between slices surfaces inside sim.advance() (the
-    // pipeline polls the token at every adaptation point), the same yield
-    // points lane mode relies on.
+    // Cancellation between slices surfaces inside sim.advance(): the
+    // pipeline polls the token at every adaptation point.
     if (step_task(session)) return SliceOutcome::kYield;
-    const std::uint64_t fingerprint = finish_task(session);
+    session.task->checkpointer->checkpoint_now(*session.task->sim);
+    const std::uint64_t fingerprint = session.task->sim->state_fingerprint();
     session.task.reset();
     int intervals_done = 0;
     {
@@ -809,26 +670,7 @@ SessionSupervisor::SliceOutcome SessionSupervisor::run_slice(
   } catch (const CancelledError& e) {
     session.task.reset();
     const std::lock_guard<std::mutex> lock(mutex_);
-    switch (session.cancel_kind) {
-      case CancelKind::kClient:
-        journal_.cancelled(id, e.what());
-        session.status.state = SessionState::kCancelled;
-        session.status.error = e.what();
-        bump_locked("server.cancelled");
-        break;
-      case CancelKind::kShutdown:
-        // Deliberately no journal record: the next daemon's recovery
-        // requeues this session exactly as after a crash.
-        session.status.state = SessionState::kInterrupted;
-        break;
-      case CancelKind::kNone:  // the session's own deadline
-        journal_.failed(id, e.what());
-        session.status.state = SessionState::kFailed;
-        session.status.error = e.what();
-        bump_locked("server.deadline_failures");
-        break;
-    }
-    events_cv_.notify_all();
+    end_cancelled_locked(session, e.what(), /*in_backoff=*/false);
     return SliceOutcome::kTerminal;
   } catch (const std::exception& e) {
     session.task.reset();
@@ -839,9 +681,10 @@ SessionSupervisor::SliceOutcome SessionSupervisor::run_slice(
       if (session.status.attempts - session.start_attempt <
           limits_.max_attempts) {
         bump_locked("server.retries");
-        // The exponential backoff run_session sleeps on becomes a parked
-        // wake-up time: no thread waits on the session, the watchdog
-        // promotes it once runnable_at passes (or its token trips).
+        // Exponential backoff (the same shape as
+        // SweepRunner::run_supervised) as a parked wake-up time: no thread
+        // waits on the session, the watchdog promotes it once runnable_at
+        // passes (or its token trips).
         const double backoff = std::ldexp(
             limits_.backoff_seconds,
             session.status.attempts - session.start_attempt - 1);
@@ -867,37 +710,9 @@ void SessionSupervisor::worker_loop() {
     Session* session = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] {
-        return stopping_ || !run_queue_.empty() ||
-               (!queue_.empty() && live_sessions_ < limits_.max_active);
-      });
+      work_cv_.wait(lock,
+                    [&] { return stopping_ || !run_queue_.empty(); });
       if (stopping_) return;
-      // Admit under capacity before slicing: admission is cheap (state
-      // transition + deadline arming; the simulation is built lazily on
-      // the first slice), and a full admitted set is what keeps every
-      // worker busy.
-      while (live_sessions_ < limits_.max_active) {
-        const std::optional<std::uint64_t> next =
-            queue_.pop_best(Clock::now());
-        if (!next.has_value()) break;
-        Session& admitted = *sessions_.at(*next);
-        admitted.status.state = SessionState::kRunning;
-        admitted.start_attempt = admitted.status.attempts;
-        ++live_sessions_;
-        const double deadline =
-            admitted.status.spec.deadline_seconds > 0.0
-                ? admitted.status.spec.deadline_seconds
-                : limits_.session_deadline_seconds;
-        if (deadline > 0.0 && !admitted.deadline_armed) {
-          admitted.deadline_at =
-              Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(deadline));
-          admitted.deadline_armed = true;
-        }
-        admitted.queued_runnable = true;
-        run_queue_.push_back(*next);
-      }
-      if (run_queue_.empty()) continue;
       session = sessions_.at(run_queue_.front()).get();
       run_queue_.pop_front();
       session->queued_runnable = false;
@@ -916,26 +731,20 @@ void SessionSupervisor::worker_loop() {
           // Round-robin: to the back of the runnable queue, so N light
           // sessions interleave instead of the first admitted running to
           // completion — and no session starves.
-          if (!stopping_) {
-            session->queued_runnable = true;
-            run_queue_.push_back(session->status.id);
-            work_cv_.notify_one();
-          }
+          if (!stopping_) promote_locked(*session);
           break;
         case SliceOutcome::kRetryLater:
           break;  // parked; the watchdog promotes at runnable_at
         case SliceOutcome::kTerminal: {
           --live_sessions_;
-          account_lane_time_locked(session->status.spec.tenant,
-                                   session->task_seconds);
+          account_session_time_locked(session->status.spec.tenant,
+                                      session->task_seconds);
           if (session->status.state == SessionState::kDone) {
             TenantStats& tenant = tenants_[session->status.spec.tenant];
             tenant.tenant = session->status.spec.tenant;
             ++tenant.completed;
           }
-          // Freed admission capacity: wake a worker to admit from the
-          // fair queue.
-          work_cv_.notify_one();
+          admit_locked();  // the freed slot goes to the fair queue's best
           break;
         }
       }

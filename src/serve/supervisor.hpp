@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file supervisor.hpp
-/// The stormtrackd session scheduler: bounded admission, worker lanes or a
-/// shared cooperative pool, per-session deadlines, supervised retries, and
-/// crash recovery.
+/// The stormtrackd session scheduler: bounded admission, one cooperative
+/// worker pool, per-session deadlines, supervised retries, and crash
+/// recovery.
 ///
 /// SessionSupervisor lifts SweepRunner::run_supervised's semantics —
 /// deadline, bounded retries with exponential backoff, quarantine — from a
@@ -13,22 +13,21 @@
 ///     and at most `max_queued` wait. A submit beyond both bounds is
 ///     REJECTED_BUSY — the daemon's memory use is bounded by
 ///     configuration, never by client behaviour.
-///   * **Two scheduling models.** With `pool_threads == 0` each running
-///     session owns a worker lane (a dedicated thread) until it is
-///     terminal — simple, but throughput is lane-bound: hundreds of light
-///     sessions serialize behind `max_active` threads. With
-///     `pool_threads > 0` sessions become *cooperative tasks*: a fixed
-///     pool of workers advances them one adaptation interval per slice,
-///     yielding between slices, so `max_active` becomes an admission
-///     bound (live session state in memory) rather than a thread count
-///     and hundreds of light sessions multiplex onto a few cores. Retry
+///   * **One scheduling model.** Running sessions are *cooperative
+///     tasks*: `pool_threads` workers advance them one adaptation interval
+///     per slice, round-robin, yielding between slices — the adaptation
+///     points are the only places a session can be reallocated anyway. So
+///     `max_active` is an admission bound (live session state in memory),
+///     not a thread count, and hundreds of light sessions multiplex onto a
+///     few cores. Submission admits at once while a slot is free, so no
+///     session waits (or is shed) in the queue beside idle capacity. Retry
 ///     backoffs park the session (no thread sleeps on it); the watchdog
 ///     promotes parked sessions when their backoff elapses or their token
 ///     trips. Every session's pipeline submits its data-parallel batches
-///     into one SharedPoolExecutor — never a private pool, asserted at
-///     construction — and the executor's determinism contract keeps
-///     per-session results byte-identical to serial execution regardless
-///     of pool width or co-scheduled sessions.
+///     into one SharedPoolExecutor — never a private pool — and the
+///     executor's determinism contract keeps per-session results
+///     byte-identical to serial execution regardless of pool width or
+///     co-scheduled sessions.
 ///   * **Cross-session pricing reuse.** Sessions sharing a machine model
 ///     price candidates through a supervisor-wide SharedPricingCache
 ///     scoped by Machine::fingerprint() (bit-identical to private
@@ -57,9 +56,11 @@
 ///     The budget is enforced twice over: the session's CancelToken is
 ///     armed per attempt, and a watchdog thread sweeps running sessions to
 ///     cancel any that outlived their budget.
-///   * **Supervised retries.** An attempt that throws is retried after
-///     cancellable exponential backoff, resuming from the session's latest
-///     checkpoint; `max_attempts` failures quarantine the session.
+///   * **Supervised retries.** An attempt that throws is retried after a
+///     parked exponential backoff, resuming from the session's latest
+///     checkpoint; `max_attempts` failures quarantine the session. A
+///     cancel, deadline, or stop during the backoff ends the session
+///     without another attempt.
 ///   * **Crash recovery.** Every lifecycle transition is journaled
 ///     (serve/session_journal.hpp) and every session checkpoints into its
 ///     own directory, so a daemon killed at any instant can be restarted:
@@ -68,8 +69,8 @@
 ///     uninterrupted ones.
 ///
 /// Threading: public methods are safe from any thread. One mutex guards
-/// all session state; the simulation itself runs outside the lock (lanes
-/// and pool workers only take it to publish events and state changes).
+/// all session state; the simulation itself runs outside the lock (pool
+/// workers only take it to publish events and state changes).
 
 #include <chrono>
 #include <condition_variable>
@@ -98,9 +99,8 @@ namespace stormtrack {
 
 /// Service limits; every bound has a safe default.
 struct ServeLimits {
-  /// Concurrent running sessions. With pool_threads == 0 this is also the
-  /// worker-lane (thread) count; with a shared pool it is purely an
-  /// admission bound on live session state.
+  /// Admitted (running) sessions at once: a bound on live session state,
+  /// not a thread count.
   int max_active = 2;
   int max_queued = 8;      ///< Waiting sessions before REJECTED_BUSY.
   int max_attempts = 3;    ///< Attempts before quarantine.
@@ -114,23 +114,15 @@ struct ServeLimits {
   /// Queue-wait seconds per +1 effective priority in the fair queue;
   /// <= 0 disables aging (see serve/fair_queue.hpp).
   double aging_seconds = 0.5;
-  /// Threads for each running session's *private* executor (candidate
-  /// evaluation + workload integration); 0 = serial. Only meaningful in
-  /// lane mode — lanes are the primary parallelism, so the default keeps
-  /// one core per session. Combining it with pool_threads > 0 is rejected
-  /// at construction: N sessions each spawning a private ThreadPoolExecutor
-  /// next to a shared pool oversubscribes the cores the pool was sized
-  /// for, which is exactly the hazard the shared pool removes.
-  int executor_threads = 0;
-  /// Shared cooperative scheduling: 0 keeps the lane-per-session model;
-  /// > 0 spawns this many pool workers that advance admitted sessions one
-  /// adaptation interval per slice (see the file comment). Sessions'
-  /// pipelines submit their parallel batches into the same pool.
+  /// Workers that advance admitted sessions one adaptation interval per
+  /// slice (see the file comment); sessions' pipelines submit their
+  /// parallel batches into a shared executor of the same width. 0 = one
+  /// worker per max_active slot.
   int pool_threads = 0;
   /// Serve candidate pricing from the supervisor-wide SharedPricingCache
   /// so sessions sharing a machine model reuse each other's summaries.
   /// Bit-identical results either way; hits surface as
-  /// server.pricing_shared_hits. Applies to both scheduling models.
+  /// server.pricing_shared_hits.
   bool shared_pricing = true;
 };
 
@@ -181,7 +173,8 @@ class SessionSupervisor {
   /// start()). Safe on a fresh state directory (reports zeros).
   RecoveryReport recover();
 
-  /// Spawn the worker lanes and the watchdog. Idempotent.
+  /// Spawn the pool workers and the watchdog, then admit sessions
+  /// recover() requeued. Idempotent.
   void start();
 
   /// Graceful stop: cancels running sessions (they stop at the next
@@ -192,7 +185,8 @@ class SessionSupervisor {
   void stop();
 
   /// Admission-controlled submission; see the class comment. Accepted
-  /// sessions are journaled before this returns.
+  /// sessions are journaled before this returns; once start() has run, an
+  /// accepted session is admitted at once while a max_active slot is free.
   [[nodiscard]] SubmitResult submit(const SessionSpec& spec);
 
   /// Cancel a queued or running session (no-op past terminal). Returns
@@ -237,11 +231,12 @@ class SessionSupervisor {
   [[nodiscard]] const std::filesystem::path& state_dir() const {
     return state_dir_;
   }
+  /// Effective limits: pool_threads resolved (never 0).
   [[nodiscard]] const ServeLimits& limits() const { return limits_; }
 
  private:
-  /// Why a session's CancelToken tripped (guarded by mutex_); the lane
-  /// maps it to the terminal state.
+  /// Why a session's CancelToken tripped (guarded by mutex_);
+  /// end_cancelled_locked maps it to the terminal state.
   enum class CancelKind : std::uint8_t {
     kNone = 0,      ///< Token tripped by its own deadline.
     kClient = 1,    ///< cancel() request → `cancelled`.
@@ -249,8 +244,7 @@ class SessionSupervisor {
   };
 
   /// A session's live simulation between cooperative slices (machine,
-  /// config, checkpointer, CoupledSimulation — everything run_attempt
-  /// used to keep on a lane's stack). Defined in supervisor.cpp.
+  /// config, checkpointer, CoupledSimulation). Defined in supervisor.cpp.
   struct SessionTask;
 
   struct Session {
@@ -261,24 +255,23 @@ class SessionSupervisor {
     /// Wall-clock budget end, armed when the session first starts.
     std::chrono::steady_clock::time_point deadline_at{};
     bool deadline_armed = false;
-    /// Live simulation state across slices/attempts; null when no attempt
-    /// is in flight. Touched only by the thread driving the session
-    /// (mutex_ not required) and by stop()'s post-join sweep.
+    /// Live simulation state across slices; null when no attempt is in
+    /// flight. Touched only by the worker slicing the session (mutex_ not
+    /// required) and by stop()'s post-join sweep.
     std::unique_ptr<SessionTask> task;
     /// status.attempts at admission; retry arithmetic is relative to it.
     int start_attempt = 0;
-    /// Pool mode: a worker is inside run_slice right now.
+    /// A worker is inside run_slice right now.
     bool slicing = false;
-    /// Pool mode: queued in run_queue_ awaiting its next slice.
+    /// Queued in run_queue_ awaiting its next slice.
     bool queued_runnable = false;
-    /// Pool mode: earliest next slice (retry backoff parks the session
-    /// here instead of sleeping a thread; the watchdog promotes it).
+    /// Earliest next slice (retry backoff parks the session here instead
+    /// of sleeping a thread; the watchdog promotes it).
     std::chrono::steady_clock::time_point runnable_at{};
     /// Carried across retry slices for the quarantine record.
     std::string last_error;
     /// Summed slice wall time, folded into tenant accounting + the EWMA
-    /// when the session goes terminal (the pool-mode analog of lane
-    /// occupancy).
+    /// when the session goes terminal.
     double task_seconds = 0.0;
   };
 
@@ -289,48 +282,53 @@ class SessionSupervisor {
     kRetryLater = 2,  ///< Attempt failed; park until runnable_at.
   };
 
-  void lane_loop();
   void worker_loop();
   void watchdog_loop();
-  /// Run one session to a terminal (or interrupted) state. Called by a
-  /// lane with mutex_ *not* held.
-  void run_session(Session& session);
-  /// One simulation attempt; returns the final fingerprint. Throws
-  /// CancelledError / CheckError like the underlying machinery.
-  /// \p first_in_process distinguishes a cross-daemon checkpoint resume
-  /// (reported as status.resumed) from an in-process retry resume.
-  std::uint64_t run_attempt(Session& session, bool first_in_process);
   /// Build the session's simulation for a new attempt (machine, config,
-  /// checkpointer, resume-from-checkpoint). mutex_ not held.
+  /// checkpointer, resume-from-checkpoint). \p first_in_process
+  /// distinguishes a cross-daemon checkpoint resume (reported as
+  /// status.resumed) from an in-process retry resume. Throws
+  /// CancelledError / CheckError like the underlying machinery. mutex_
+  /// not held.
   [[nodiscard]] std::unique_ptr<SessionTask> build_task(Session& session,
                                                         bool first_in_process);
   /// Advance one adaptation interval and publish its event; false when
   /// every interval is done. mutex_ not held.
   bool step_task(Session& session);
-  /// Final checkpoint + state fingerprint. mutex_ not held.
-  [[nodiscard]] std::uint64_t finish_task(Session& session);
   /// One cooperative slice: first call of an attempt builds the task,
   /// later calls advance one interval; maps exceptions to terminal states
-  /// or a parked retry exactly like run_session. mutex_ not held.
+  /// or a parked retry. mutex_ not held.
   [[nodiscard]] SliceOutcome run_slice(Session& session);
-  /// Queue a running session for its next slice (pool mode; no-op when it
-  /// is already queued or mid-slice). mutex_ held.
+  /// Queue a running session for its next slice (no-op when it is already
+  /// queued or mid-slice). mutex_ held.
   void promote_locked(Session& session);
+  /// Move queued sessions into the run queue while fewer than max_active
+  /// are live; no-op before start() and once stopping. mutex_ held.
+  void admit_locked();
+  /// Terminal state of a session whose token tripped, by cancel_kind:
+  /// client → cancelled, deadline → failed, shutdown → interrupted (no
+  /// journal record). \p what is the CancelledError text; \p in_backoff
+  /// means the token tripped while the session sat out a retry backoff,
+  /// which reports its own text (the deadline one carries last_error).
+  /// mutex_ held.
+  void end_cancelled_locked(Session& session, const std::string& what,
+                            bool in_backoff);
 
   [[nodiscard]] std::filesystem::path checkpoint_dir(std::uint64_t id) const;
   void bump_locked(std::string_view counter, std::int64_t amount = 1);
   /// EWMA duration scaled by the queue ahead of a hypothetical new entry.
   /// mutex_ held.
   [[nodiscard]] double estimated_wait_locked() const;
-  /// Fold a finished lane occupancy into the tenant account and the EWMA
-  /// duration estimate. mutex_ held.
-  void account_lane_time_locked(const std::string& tenant, double seconds);
+  /// Fold a finished session's slice time into the tenant account and the
+  /// EWMA duration estimate. mutex_ held.
+  void account_session_time_locked(const std::string& tenant,
+                                   double seconds);
 
   std::filesystem::path state_dir_;
   ServeLimits limits_;
   const ModelStack models_;  ///< Shared, const — thread-safe memo inside.
-  /// Shared executor every pool-mode session submits into (null in lane
-  /// mode). Constructed before any session and outlives them all.
+  /// Shared executor every session submits into. Constructed before any
+  /// session and outlives them all.
   std::unique_ptr<SharedPoolExecutor> pool_;
   /// Cross-session pricing cache (scoped by machine fingerprint); wired
   /// into every session when limits_.shared_pricing. Internally
@@ -338,8 +336,8 @@ class SessionSupervisor {
   SharedPricingCache pricing_;
 
   mutable std::mutex mutex_;
-  /// Signals lanes only (queue/stop). The watchdog sleeps on its own
-  /// condition variable so a submit's notify_one always wakes a lane.
+  /// Signals workers only (run queue/stop). The watchdog sleeps on its own
+  /// condition variable so a promotion's notify_one always wakes a worker.
   mutable std::condition_variable work_cv_;
   /// Signals event waiters (events/terminal).
   mutable std::condition_variable events_cv_;
@@ -348,10 +346,10 @@ class SessionSupervisor {
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   /// Queued session ids: per-priority lanes with aging (class comment).
   FairQueue queue_;
-  /// Pool mode: admitted sessions awaiting their next slice, round-robin
-  /// (a yielded session goes to the back, so no session starves).
+  /// Admitted sessions awaiting their next slice, round-robin (a yielded
+  /// session goes to the back, so no session starves).
   std::deque<std::uint64_t> run_queue_;
-  /// Pool mode: sessions in kRunning (admitted, not yet terminal) — the
+  /// Admitted sessions not yet through a worker's terminal path — the
   /// admission bound max_active compares against this.
   int live_sessions_ = 0;
   std::uint64_t next_id_ = 1;
@@ -360,14 +358,14 @@ class SessionSupervisor {
   MetricsRegistry metrics_;
   /// Per-tenant accounting (key = SessionSpec::tenant, "" = default).
   std::map<std::string, TenantStats> tenants_;
-  /// EWMA of lane-occupancy seconds per session; 0 until the first
-  /// session finishes. Drives estimated_wait_seconds.
+  /// EWMA of slice seconds per session; 0 until the first session
+  /// finishes. Drives estimated_wait_seconds.
   double ewma_session_seconds_ = 0.0;
   /// Last health observed by the watchdog, for transition counters.
   bool was_healthy_ = true;
 
   SessionJournal journal_;
-  std::vector<std::thread> lanes_;
+  std::vector<std::thread> workers_;
   std::thread watchdog_;
 };
 

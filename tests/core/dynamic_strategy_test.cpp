@@ -65,8 +65,9 @@ TEST_P(DynamicStrategyTest, PredictionsAreInformative) {
     const bool tree_best = da < sa;
     if ((o.chosen == "diffusion") == tree_best) ++correct;
   }
-  if (decided >= 8)
+  if (decided >= 8) {
     EXPECT_GT(static_cast<double>(correct) / decided, 0.5);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicStrategyTest,

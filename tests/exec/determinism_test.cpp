@@ -169,7 +169,7 @@ TEST(Determinism, CandidateEvaluationIdenticalAcrossExecutors) {
   for (const std::uint64_t seed : {21u, 42u}) {
     SCOPED_TRACE("trace seed " + std::to_string(seed));
     const Trace trace = synthetic(8, seed);
-    for (const std::string& strategy : {"scratch", "diffusion", "dynamic"}) {
+    for (const std::string strategy : {"scratch", "diffusion", "dynamic"}) {
       SCOPED_TRACE("strategy " + strategy);
       const std::uint64_t serial = fingerprint(
           run_trace(machine, models.model, models.truth, strategy, trace));

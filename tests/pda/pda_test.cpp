@@ -88,7 +88,9 @@ TEST(Pda, RoisCoverCloudSystemCentres) {
         break;
       }
   }
-  if (strong > 0) EXPECT_GE(covered, (strong + 1) / 2);
+  if (strong > 0) {
+    EXPECT_GE(covered, (strong + 1) / 2);
+  }
 }
 
 TEST(Pda, ResultIndependentOfAnalysisProcCount) {

@@ -63,7 +63,9 @@ TEST(OverlappingParts, AgreesWithBlockRangeExhaustively) {
             // Empty blocks inside the range are harmless (they contribute
             // empty intersections); non-empty intersecting blocks must be
             // covered and non-intersecting non-empty blocks excluded.
-            if (intersects) EXPECT_TRUE(in_range);
+            if (intersects) {
+              EXPECT_TRUE(in_range);
+            }
             if (!intersects && s.count > 0 && in_range) {
               // allowed only if block is empty — contradiction
               ADD_FAILURE() << "non-intersecting block " << k

@@ -1,9 +1,10 @@
-/// Cooperative shared-pool scheduling (ServeLimits::pool_threads > 0):
-/// sessions are tasks that yield at adaptation points, max_active is an
-/// admission bound rather than a thread count, results stay byte-identical
-/// to serial/lane execution on any pool width, retries park instead of
-/// sleeping a thread, the cross-session pricing cache proves its sharing,
-/// and the executor nesting hazard is rejected at construction.
+/// Cooperative pool scheduling, the supervisor's only model: sessions are
+/// tasks that yield at adaptation points, max_active is an admission bound
+/// rather than a thread count, a submit takes a free slot at once, results
+/// stay byte-identical to serial execution on any pool width, retries park
+/// instead of sleeping a thread (and a cancel or stop during the backoff
+/// ends the session without another attempt), and the cross-session
+/// pricing cache proves its sharing.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +18,8 @@
 #include "core/coupled.hpp"
 #include "core/experiment.hpp"
 #include "core/machine.hpp"
+#include "serve/session_journal.hpp"
 #include "serve/supervisor.hpp"
-#include "util/check.hpp"
 
 namespace stormtrack {
 namespace {
@@ -80,6 +81,15 @@ class PoolSupervisorTest : public ::testing::Test {
     return sim.state_fingerprint();
   }
 
+  /// Poll until \p supervisor has \p parked sessions sitting out a retry
+  /// backoff.
+  static void wait_parked(const SessionSupervisor& supervisor,
+                          std::uint64_t parked) {
+    while (supervisor.stats().pool_delayed < parked) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+
   /// Poll until \p id reports at least \p intervals completed.
   static void wait_progress(const SessionSupervisor& supervisor,
                             std::uint64_t id, int intervals) {
@@ -93,8 +103,8 @@ class PoolSupervisorTest : public ::testing::Test {
 
 TEST_F(PoolSupervisorTest, FingerprintsMatchSerialOnEveryPoolWidth) {
   // The cooperative-yield determinism suite: the same three sessions land
-  // on the same per-session fingerprints whether sessions own lanes
-  // (serial reference) or multiplex onto 1, 2, or 8 pool threads.
+  // on the same per-session fingerprints whether they run inline (serial
+  // reference) or multiplex onto 1, 2, or 8 pool threads.
   const std::vector<SessionSpec> specs = {quick_spec(3, 11), quick_spec(3, 22),
                                           quick_spec(2, 33)};
   std::vector<std::uint64_t> reference;
@@ -126,10 +136,10 @@ TEST_F(PoolSupervisorTest, FingerprintsMatchSerialOnEveryPoolWidth) {
 }
 
 TEST_F(PoolSupervisorTest, MaxActiveIsAnAdmissionBoundNotAThreadCount) {
-  // Twelve sessions live at once on a single worker thread: under lane
-  // scheduling this concurrency would require twelve threads. Round-robin
-  // slicing keeps all twelve active until the first one finishes, so the
-  // all-admitted snapshot is guaranteed to be observable.
+  // Twelve sessions live at once on a single worker thread: a thread per
+  // session would need twelve. Round-robin slicing keeps all twelve active
+  // until the first one finishes, so the all-admitted snapshot is
+  // guaranteed to be observable.
   SessionSupervisor supervisor(dir_, pool_limits(1, 12));
   supervisor.start();
 
@@ -159,8 +169,8 @@ TEST_F(PoolSupervisorTest, MaxActiveIsAnAdmissionBoundNotAThreadCount) {
 
 TEST_F(PoolSupervisorTest, SessionsInterleaveOnOneWorker) {
   // Round-robin slicing: with one worker, a second session makes progress
-  // long before the first (6 intervals) finishes — the lane model would
-  // serialize them whole.
+  // long before the first (6 intervals) finishes — a thread per session
+  // would serialize them whole.
   SessionSupervisor supervisor(dir_, pool_limits(1, 4));
   supervisor.start();
   const auto first = supervisor.submit(quick_spec(6, 11));
@@ -229,12 +239,45 @@ TEST_F(PoolSupervisorTest, SharedPricingIsBitIdenticalToUnshared) {
   supervisor.stop();
 }
 
-TEST_F(PoolSupervisorTest, RejectsPrivateExecutorsAlongsideTheSharedPool) {
-  // The executor nesting hazard: a session pipeline must never spawn a
-  // private ThreadPoolExecutor when a shared pool is configured.
-  ServeLimits limits = pool_limits(2, 4);
-  limits.executor_threads = 2;
-  EXPECT_THROW(SessionSupervisor(dir_, limits), CheckError);
+TEST_F(PoolSupervisorTest, DefaultPoolWidthIsOneWorkerPerAdmissionSlot) {
+  ServeLimits limits;
+  limits.max_active = 3;
+  ASSERT_EQ(limits.pool_threads, 0);
+  SessionSupervisor supervisor(dir_, limits);
+  EXPECT_EQ(supervisor.limits().pool_threads, 3);
+  EXPECT_EQ(supervisor.stats().pool_threads, 3u);
+}
+
+TEST_F(PoolSupervisorTest, SubmitAdmitsAtOnceWhileASlotIsFree) {
+  // An hour-long watchdog period rules out any background admission: the
+  // submit itself must move the session out of the queue.
+  ServeLimits limits = pool_limits(1, 2);
+  limits.watchdog_period_seconds = 3600.0;
+  SessionSupervisor supervisor(dir_, limits);
+  supervisor.start();
+
+  const auto first = supervisor.submit(quick_spec(100000, 11));
+  const auto second = supervisor.submit(quick_spec(100000, 22));
+  ASSERT_EQ(first.admission, Admission::kAccepted);
+  ASSERT_EQ(second.admission, Admission::kAccepted);
+  EXPECT_EQ(first.queued, 0);
+  EXPECT_EQ(second.queued, 0);
+  EXPECT_EQ(supervisor.status(first.id).state, SessionState::kRunning);
+  EXPECT_EQ(supervisor.status(second.id).state, SessionState::kRunning);
+
+  // Both slots taken: the third waits in the queue.
+  const auto third = supervisor.submit(quick_spec(1, 33));
+  ASSERT_EQ(third.admission, Admission::kAccepted);
+  EXPECT_EQ(third.queued, 1);
+  EXPECT_EQ(supervisor.status(third.id).state, SessionState::kQueued);
+
+  // A session's terminal path hands its slot to the queue.
+  (void)supervisor.cancel(first.id, "make way");
+  EXPECT_EQ(supervisor.wait_terminal(third.id).state, SessionState::kDone);
+  (void)supervisor.cancel(second.id, "done");
+  EXPECT_EQ(supervisor.wait_terminal(second.id).state,
+            SessionState::kCancelled);
+  supervisor.stop();
 }
 
 TEST_F(PoolSupervisorTest, RetriesParkAndQuarantineWithoutALaneThread) {
@@ -252,12 +295,53 @@ TEST_F(PoolSupervisorTest, RetriesParkAndQuarantineWithoutALaneThread) {
   EXPECT_EQ(bad.state, SessionState::kQuarantined);
   EXPECT_EQ(bad.attempts, 2);
   EXPECT_FALSE(bad.error.empty());
-  // The worker the doomed session would have camped on in lane mode kept
-  // serving the healthy session during the parked backoff.
+  // The only worker kept serving the healthy session while the doomed
+  // one sat out its parked backoff.
   EXPECT_EQ(supervisor.wait_terminal(healthy.id).state, SessionState::kDone);
   EXPECT_EQ(supervisor.metrics().get("server.retries").count, 1);
   EXPECT_EQ(supervisor.metrics().get("server.quarantined").count, 1);
   supervisor.stop();
+}
+
+TEST_F(PoolSupervisorTest, CancelDuringRetryBackoffEndsWithoutAnotherAttempt) {
+  ServeLimits limits = pool_limits(1, 4);
+  limits.max_attempts = 3;
+  limits.backoff_seconds = 30.0;  // parked far longer than the test runs
+  SessionSupervisor supervisor(dir_, limits);
+  supervisor.start();
+  const auto doomed = supervisor.submit(doomed_spec());
+  ASSERT_EQ(doomed.admission, Admission::kAccepted);
+  wait_parked(supervisor, 1);
+
+  (void)supervisor.cancel(doomed.id, "operator asked");
+  const SessionStatus status = supervisor.wait_terminal(doomed.id);
+  EXPECT_EQ(status.state, SessionState::kCancelled);
+  EXPECT_EQ(status.error, "cancelled during retry backoff");
+  EXPECT_EQ(status.attempts, 1);
+  EXPECT_EQ(supervisor.metrics().get("server.cancelled").count, 1);
+  supervisor.stop();
+
+  SessionJournal journal(dir_ / "sessions.stjl", true);
+  EXPECT_EQ(journal.replayed().at(doomed.id).state, SessionState::kCancelled);
+}
+
+TEST_F(PoolSupervisorTest, StopDuringRetryBackoffInterruptsWithoutARecord) {
+  ServeLimits limits = pool_limits(1, 4);
+  limits.max_attempts = 3;
+  limits.backoff_seconds = 30.0;
+  SessionSupervisor supervisor(dir_, limits);
+  supervisor.start();
+  const auto doomed = supervisor.submit(doomed_spec());
+  ASSERT_EQ(doomed.admission, Admission::kAccepted);
+  wait_parked(supervisor, 1);
+
+  supervisor.stop();
+  const SessionStatus status = supervisor.status(doomed.id);
+  EXPECT_EQ(status.state, SessionState::kInterrupted);
+  EXPECT_EQ(status.attempts, 1);
+  // No terminal record: the next daemon's recover() requeues it.
+  SessionJournal journal(dir_ / "sessions.stjl", true);
+  EXPECT_EQ(journal.replayed().at(doomed.id).state, SessionState::kRunning);
 }
 
 TEST_F(PoolSupervisorTest, ClientCancelStopsAParkedOrRunningSession) {
@@ -332,37 +416,54 @@ TEST_F(PoolSupervisorTest, StatsAccountEveryAdmittedSessionExactlyOnce) {
 }
 
 TEST_F(PoolSupervisorTest, FairQueueAgingStillFeedsThePoolWithoutStarvation) {
-  // One admission slot, a low-priority victim behind a stream of
-  // high-priority submissions: aging credit must pull the victim through
-  // the fair queue into the pool before the stream ends.
+  // One admission slot, held by a running blocker, so the priority-0
+  // victim really waits in the fair queue: first behind queued priority-9
+  // work, then against a stream of priority-9 submissions for every slot
+  // that frees up. Aging credit must pull the victim through the fair
+  // queue into the pool before the stream ends.
   ServeLimits limits = pool_limits(1, 1);
   limits.max_queued = 4;
-  limits.aging_seconds = 0.02;
+  limits.aging_seconds = 0.005;  // 9 levels of credit in 45 ms of waiting
   SessionSupervisor supervisor(dir_, limits);
   supervisor.start();
+
+  // Admitted inside submit(): the slot is taken before the victim exists,
+  // and the blocker holds it until it is cancelled below.
+  const auto blocker = supervisor.submit(quick_spec(100000, 5));
+  ASSERT_EQ(blocker.admission, Admission::kAccepted);
+  ASSERT_EQ(blocker.queued, 0);
 
   SessionSpec victim = quick_spec(1, 7);
   victim.priority = 0;
   const auto victim_submit = supervisor.submit(victim);
   ASSERT_EQ(victim_submit.admission, Admission::kAccepted);
+  ASSERT_EQ(victim_submit.queued, 1);
 
   int victim_done_at = -1;
-  constexpr int kStream = 24;
+  constexpr int kStream = 30;
   for (int i = 0; i < kStream; ++i) {
-    SessionSpec noisy = quick_spec(1, 1000 + i);
+    SessionSpec noisy = quick_spec(2, 1000 + static_cast<std::uint64_t>(i));
     noisy.priority = 9;
-    // Keep the queue persistently contended: wait for a slot, then refill.
-    while (true) {
-      const auto submit = supervisor.submit(noisy);
-      if (submit.admission == Admission::kAccepted) break;
-      ASSERT_EQ(submit.admission, Admission::kRejectedBusy);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Never submit into a full queue: that sheds the victim outright,
+    // which is overload behaviour, not the starvation question. Only this
+    // thread submits, so the check cannot race into a shed.
+    while (supervisor.queued_count() >= limits.max_queued) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto submit = supervisor.submit(noisy);
+    ASSERT_EQ(submit.admission, Admission::kAccepted) << submit.reason;
+    if (submit.queued == limits.max_queued) {
+      // The victim is queued behind three priority-9 sessions: free the
+      // slot (once; later cancels of a terminal blocker are no-ops).
+      (void)supervisor.cancel(blocker.id, "make way");
     }
     if (victim_done_at < 0 &&
         is_terminal(supervisor.status(victim_submit.id).state)) {
       victim_done_at = i;
     }
   }
+  EXPECT_EQ(supervisor.wait_terminal(blocker.id).state,
+            SessionState::kCancelled);
   const SessionStatus victim_status =
       supervisor.wait_terminal(victim_submit.id);
   EXPECT_EQ(victim_status.state, SessionState::kDone);

@@ -281,7 +281,13 @@ TEST_F(SupervisorTest, DeadlineDuringBackoffCancelsTheSleepPromptly) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_EQ(status.state, SessionState::kFailed);
-  EXPECT_NE(status.error.find("backoff"), std::string::npos);
+  EXPECT_NE(status.error.find("deadline expired during retry backoff"),
+            std::string::npos)
+      << status.error;
+  // The parked session keeps the failure that sent it into backoff.
+  EXPECT_NE(status.error.find("(last error: "), std::string::npos)
+      << status.error;
+  EXPECT_EQ(status.attempts, 1);  // no attempt starts after the deadline
   // The 30 s backoff must have been interrupted by the 0.3 s budget, not
   // slept to completion.
   EXPECT_LT(elapsed, 10.0);
@@ -293,9 +299,10 @@ TEST_F(SupervisorTest, SubmitWakesALaneEvenWithTheWatchdogParked) {
   ServeLimits limits;
   limits.max_active = 1;
   // Park the watchdog in an hour-long sleep. A submit emits exactly one
-  // notification, which must reach the single lane — the watchdog sleeps
-  // on its own condition variable and cannot swallow it. Before the split
-  // this hung ~half the time; run a few rounds so a regression is loud.
+  // notification, which must reach the single worker — the watchdog
+  // sleeps on its own condition variable and cannot swallow it. Before the
+  // split this hung ~half the time; run a few rounds so a regression is
+  // loud.
   limits.watchdog_period_seconds = 3600.0;
   SessionSupervisor supervisor(dir_, limits);
   supervisor.start();
@@ -308,7 +315,7 @@ TEST_F(SupervisorTest, SubmitWakesALaneEvenWithTheWatchdogParked) {
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     while (!is_terminal(supervisor.status(submit.id).state)) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "no lane woke for session " << submit.id
+          << "no worker woke for session " << submit.id
           << " — the submit notification was lost";
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }

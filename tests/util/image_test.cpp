@@ -10,9 +10,11 @@
 namespace stormtrack {
 namespace {
 
+/// One directory per file: ctest runs these tests in parallel, and each
+/// removes its own directory afterwards.
 std::filesystem::path temp_file(const char* name) {
-  return std::filesystem::temp_directory_path() / "stormtrack_image_test" /
-         name;
+  return std::filesystem::temp_directory_path() /
+         (std::string("stormtrack_image_test_") + name) / name;
 }
 
 std::string read_all(const std::filesystem::path& p) {
