@@ -322,23 +322,6 @@ NestTracker::State get_tracker(BinaryReader& r) {
   return s;
 }
 
-void put_grid(BinaryWriter& w, const Grid2D<double>& g) {
-  w.put_i32(g.width());
-  w.put_i32(g.height());
-  for (const double v : g.data()) w.put_f64(v);
-}
-
-Grid2D<double> get_grid(BinaryReader& r) {
-  const int width = r.get_i32("grid width");
-  const int height = r.get_i32("grid height");
-  ST_CHECK_MSG(width >= 0 && height >= 0, "checkpoint grid has negative "
-                                          "extent "
-                                              << width << "x" << height);
-  Grid2D<double> g(width, height);
-  for (double& v : g.data()) v = r.get_f64("grid cell");
-  return g;
-}
-
 void put_coupled(BinaryWriter& w, const CoupledSimulation::State& s) {
   put_weather(w, s.driver.weather);
   put_tracker(w, s.driver.tracker);
@@ -417,7 +400,18 @@ std::string_view to_string(CheckpointKind kind) {
 }
 
 std::vector<std::byte> encode_checkpoint(const RunCheckpoint& ckpt) {
+  // One buffer for the whole file: the header goes first with a zero size
+  // field, patched once the payload length is known, and the CRC runs once
+  // over the payload range. The bytes equal a separately framed payload.
+  constexpr std::size_t kHeaderBytes = 16;  // magic, version, payload size
   BinaryWriter payload;
+  // The workload blob dominates a coupled checkpoint; 64 KiB is headroom
+  // for the rest (pipeline state, metrics), so the buffer rarely regrows.
+  payload.reserve(kHeaderBytes + ckpt.coupled.workload_state.size() +
+                  (std::size_t{64} << 10));
+  payload.put_u32(kCheckpointMagic);
+  payload.put_u32(kCheckpointVersion);
+  payload.put_u64(0);
   payload.put_u8(static_cast<std::uint8_t>(ckpt.kind));
   payload.put_u64(ckpt.config_fingerprint);
   payload.put_i64(ckpt.step);
@@ -435,13 +429,12 @@ std::vector<std::byte> encode_checkpoint(const RunCheckpoint& ckpt) {
   payload.put_bool(ckpt.has_injector);
   if (ckpt.has_injector) put_injector(payload, ckpt.injector);
 
-  BinaryWriter framed;
-  framed.put_u32(kCheckpointMagic);
-  framed.put_u32(kCheckpointVersion);
-  framed.put_u64(payload.size());
-  framed.put_bytes(payload.bytes());
-  framed.put_u32(crc32(payload.bytes()));
-  return framed.take();
+  const std::span<const std::byte> body =
+      std::span(payload.bytes()).subspan(kHeaderBytes);
+  payload.patch_u64(kHeaderBytes - 8, body.size());
+  const std::uint32_t crc = crc32(body);
+  payload.put_u32(crc);
+  return payload.take();
 }
 
 RunCheckpoint decode_checkpoint(std::span<const std::byte> bytes) {
@@ -625,9 +618,9 @@ void CoupledCheckpointer::on_interval(CoupledSimulation& sim, int interval) {
   if (policy_.due(interval)) checkpoint_now(sim);
 }
 
-void CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
+std::uint64_t CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
   const std::int64_t step = sim.interval();  // intervals completed
-  if (step == last_step_) return;            // final-step double-write guard
+  if (step == last_step_) return last_fingerprint_;  // double-write guard
   // Bump *before* exporting: the registry inside checkpoint k then already
   // counts write k, so a run resumed from it finishes with the same
   // ckpt.writes total as the uninterrupted run.
@@ -647,7 +640,9 @@ void CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
       static_cast<std::int64_t>(save_checkpoint(policy_.dir, ckpt));
   ++writes_;
   last_step_ = step;
+  last_fingerprint_ = ckpt.state_fingerprint;
   pruned_ += prune_checkpoints(policy_.dir, policy_.keep);
+  return last_fingerprint_;
 }
 
 ResumeReport resume_coupled(CoupledSimulation& sim,

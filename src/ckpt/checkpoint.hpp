@@ -169,7 +169,10 @@ class CoupledCheckpointer final : public CheckpointHook {
   /// Unconditional checkpoint of the current state (idempotent per step):
   /// runners call this once after the loop so the final state is always
   /// captured even when the cadence does not divide the interval count.
-  void checkpoint_now(CoupledSimulation& sim);
+  /// Returns the state fingerprint recorded in the checkpoint; when this
+  /// step was already written, the one recorded then, since the state has
+  /// not changed since.
+  std::uint64_t checkpoint_now(CoupledSimulation& sim);
 
   [[nodiscard]] std::int64_t bytes_written() const { return bytes_written_; }
   [[nodiscard]] int writes() const { return writes_; }
@@ -179,6 +182,7 @@ class CoupledCheckpointer final : public CheckpointHook {
   CheckpointPolicy policy_;
   std::uint64_t config_fp_;
   std::int64_t last_step_ = -1;
+  std::uint64_t last_fingerprint_ = 0;  ///< Recorded at last_step_.
   std::int64_t bytes_written_ = 0;
   int writes_ = 0;
   int pruned_ = 0;

@@ -21,6 +21,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,15 +37,8 @@ class BinaryWriter {
   void put_u8(std::uint8_t v) { buffer_.push_back(static_cast<std::byte>(v)); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
 
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-  }
-
-  void put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-  }
+  void put_u32(std::uint32_t v) { put_le(v); }
+  void put_u64(std::uint64_t v) { put_le(v); }
 
   void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
@@ -61,14 +55,50 @@ class BinaryWriter {
     buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
   }
 
+  /// Doubles in bulk, the same bytes as put_f64 on each element (no length
+  /// prefix): one memcpy on little-endian hosts.
+  void put_f64_array(std::span<const double> values) {
+    if constexpr (std::endian::native == std::endian::little) {
+      const auto* p = reinterpret_cast<const std::byte*>(values.data());
+      buffer_.insert(buffer_.end(), p, p + values.size_bytes());
+    } else {
+      for (const double v : values) put_f64(v);
+    }
+  }
+
   /// Container element count; pairs with BinaryReader::get_count.
   void put_count(std::size_t n) { put_u64(n); }
+
+  /// Overwrite the 8 bytes at \p offset (already written) with \p v: for
+  /// size fields known only once what follows them is encoded.
+  void patch_u64(std::size_t offset, std::uint64_t v) {
+    ST_CHECK_MSG(offset + 8 <= buffer_.size(),
+                 "patch at offset " << offset << " past the end of a "
+                                    << buffer_.size() << "-byte buffer");
+    store_le(buffer_.data() + offset, v);
+  }
+
+  void reserve(std::size_t n) { buffer_.reserve(n); }
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const { return buffer_; }
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buffer_); }
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 
  private:
+  template <typename U>
+  static void store_le(std::byte* dst, U v) {
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+      dst[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+  }
+
+  /// Append \p v little-endian with one grow of the buffer.
+  template <typename U>
+  void put_le(U v) {
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + sizeof(U));
+    store_le(buffer_.data() + at, v);
+  }
+
   std::vector<std::byte> buffer_;
 };
 
@@ -131,6 +161,19 @@ class BinaryReader {
   }
   [[nodiscard]] double get_f64(std::string_view what) {
     return std::bit_cast<double>(get_u64(what));
+  }
+
+  /// Fill \p out with doubles written by put_f64_array (one memcpy on
+  /// little-endian hosts); throws CheckError naming \p what when fewer
+  /// than out.size() doubles remain.
+  void get_f64_array(std::span<double> out, std::string_view what) {
+    const auto b = get_bytes(out.size_bytes(), what);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty()) std::memcpy(out.data(), b.data(), b.size());
+    } else {
+      BinaryReader r(b);
+      for (double& v : out) v = r.get_f64(what);
+    }
   }
 
   [[nodiscard]] std::string get_string(std::string_view what) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -40,6 +41,58 @@ double update_cell(const Grid2D<double>& f, int x, int y,
   return c - adv_x - adv_y + diff;
 }
 
+/// update_cell's arithmetic, operand for operand, with the upwind
+/// directions fixed at compile time so the row loop vectorizes.
+template <bool kEastward, bool kNorthward>
+double stencil(double c, double w, double e, double s, double n,
+               const DynamicsParams& p) {
+  const double adv_x = kEastward ? p.u * (c - w) : p.u * (e - c);
+  const double adv_y = kNorthward ? p.v * (c - s) : p.v * (n - c);
+  const double diff = p.diffusion * (w + e + s + n - 4.0 * c);
+  return c - adv_x - adv_y + diff;
+}
+
+/// One step of the whole field into \p out, row by row, with neighbour
+/// indices clamped at the field edge (Neumann).
+template <bool kEastward, bool kNorthward>
+void step_rows(const Grid2D<double>& f, Grid2D<double>& out,
+               const DynamicsParams& p) {
+  const auto cell = [&p](double c, double w, double e, double s, double n) {
+    return stencil<kEastward, kNorthward>(c, w, e, s, n, p);
+  };
+  const auto width = static_cast<std::size_t>(f.width());
+  const auto height = static_cast<std::size_t>(f.height());
+  if (width == 0) return;
+  const std::size_t last = width - 1;
+  const double* in = f.data().data();
+  double* dst = out.data().data();
+  for (std::size_t y = 0; y < height; ++y) {
+    const double* row = in + y * width;
+    const double* s = in + (y > 0 ? y - 1 : 0) * width;
+    const double* n = in + (y + 1 < height ? y + 1 : y) * width;
+    double* o = dst + y * width;
+    if (last == 0) {
+      o[0] = cell(row[0], row[0], row[0], s[0], n[0]);
+      continue;
+    }
+    o[0] = cell(row[0], row[0], row[1], s[0], n[0]);
+    for (std::size_t x = 1; x < last; ++x)
+      o[x] = cell(row[x], row[x - 1], row[x + 1], s[x], n[x]);
+    o[last] = cell(row[last], row[last - 1], row[last], s[last], n[last]);
+  }
+}
+
+/// step_rows for \p p's upwind directions.
+void step_field(const Grid2D<double>& f, Grid2D<double>& out,
+                const DynamicsParams& p) {
+  using Rows = void (*)(const Grid2D<double>&, Grid2D<double>&,
+                        const DynamicsParams&);
+  static constexpr Rows kRows[2][2] = {
+      {step_rows<false, false>, step_rows<false, true>},
+      {step_rows<true, false>, step_rows<true, true>}};
+  kRows[p.u >= 0.0][p.v >= 0.0](f, out, p);
+}
+
 }  // namespace
 
 Grid2D<double> step_reference(const Grid2D<double>& field,
@@ -59,15 +112,10 @@ DistributedNestStepper::DistributedNestStepper(const SimComm& comm,
                                                const Rect& proc_rect,
                                                int grid_px,
                                                DynamicsParams params)
-    : comm_(&comm), decomp_(nest, proc_rect, grid_px), params_(params) {
+    : decomp_(nest, proc_rect, grid_px),
+      params_(params),
+      scratch_(nest.nx, nest.ny) {
   validate_params(params);
-}
-
-TrafficReport DistributedNestStepper::step(Grid2D<double>& field) const {
-  const Rect proc_rect = decomp_.proc_rect();
-
-  // ---- 1. Halo exchange: each block ships its one-cell-deep edges to the
-  //         N/S/E/W neighbouring blocks (8 bytes per cell).
   std::vector<Message> msgs;
   for (int j = 0; j < proc_rect.h; ++j) {
     for (int i = 0; i < proc_rect.w; ++i) {
@@ -87,33 +135,22 @@ TrafficReport DistributedNestStepper::step(Grid2D<double>& field) const {
       send_edge(i, j + 1, region.w);
     }
   }
-  const TrafficReport traffic = comm_->alltoallv(msgs);
+  halo_traffic_ = comm.alltoallv(msgs);
+}
 
-  // ---- 2. Per-block update from a halo-extended local view. Each block
-  //         reads only its own cells plus the one-cell halo it just
-  //         received; blocks at the nest edge clamp (Neumann).
-  Grid2D<double> out(field.width(), field.height());
-  for (int j = 0; j < proc_rect.h; ++j) {
-    for (int i = 0; i < proc_rect.w; ++i) {
-      const Rect region = decomp_.owned_region(i, j);
-      if (region.empty()) continue;
-      // Halo-extended view, clamped at the global nest boundary.
-      const Rect halo_rect{
-          std::max(0, region.x - 1), std::max(0, region.y - 1),
-          std::min(field.width(), region.x_end() + 1) -
-              std::max(0, region.x - 1),
-          std::min(field.height(), region.y_end() + 1) -
-              std::max(0, region.y - 1)};
-      const Grid2D<double> local = field.extract(halo_rect);
-      for (int y = region.y; y < region.y_end(); ++y)
-        for (int x = region.x; x < region.x_end(); ++x)
-          out(x, y) = update_cell(local, x - halo_rect.x, y - halo_rect.y,
-                                  params_);
-    }
-  }
-
-  field = std::move(out);
-  return traffic;
+TrafficReport DistributedNestStepper::step(Grid2D<double>& field) {
+  ST_CHECK_MSG(field.width() == scratch_.width() &&
+                   field.height() == scratch_.height(),
+               "nest field is " << field.width() << "x" << field.height()
+                                << " but the stepper's nest is "
+                                << scratch_.width() << "x"
+                                << scratch_.height());
+  // Every block's halo-extended view, clamped at the nest boundary, holds
+  // exactly its neighbours' cells, so the per-block update is one pass over
+  // the whole nest with edge clamping.
+  step_field(field, scratch_, params_);
+  std::swap(field, scratch_);
+  return halo_traffic_;
 }
 
 }  // namespace stormtrack

@@ -46,8 +46,8 @@ void FieldWorkload::reinit_nest(int id, const WorkloadEnv& env) {
 TrafficReport FieldWorkload::integrate(int id, const Rect& proc_rect,
                                        int steps, const WorkloadEnv& env) {
   LiveNest& nest = nests_.at(id);
-  const DistributedNestStepper stepper(*env.comm, nest.spec.shape, proc_rect,
-                                       env.grid_px, dynamics_);
+  DistributedNestStepper stepper(*env.comm, nest.spec.shape, proc_rect,
+                                 env.grid_px, dynamics_);
   TrafficReport traffic;
   for (int s = 0; s < steps; ++s) traffic += stepper.step(nest.field);
   return traffic;
@@ -92,7 +92,7 @@ std::vector<std::byte> FieldWorkload::export_state() const {
     w.put_i32(nest.spec.shape.ny);
     w.put_i32(nest.field.width());
     w.put_i32(nest.field.height());
-    for (const double v : nest.field.data()) w.put_f64(v);
+    w.put_f64_array(nest.field.data());
   }
   return w.take();
 }
@@ -121,7 +121,7 @@ void FieldWorkload::import_state(std::span<const std::byte> blob) {
                               << nest.spec.shape.nx << "x"
                               << nest.spec.shape.ny);
     nest.field = Grid2D<double>(width, height);
-    for (double& v : nest.field.data()) v = r.get_f64("nest field cell");
+    r.get_f64_array(nest.field.data(), "nest field cells");
     const int id = nest.spec.id;
     ST_CHECK_MSG(nests.emplace(id, std::move(nest)).second,
                  "field workload state repeats live nest id " << id);

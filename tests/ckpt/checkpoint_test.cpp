@@ -11,6 +11,7 @@
 #include "core/experiment.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace stormtrack {
 namespace {
@@ -115,6 +116,35 @@ TEST_F(CheckpointTest, CoupledEncodeDecodeIsStable) {
   CoupledSimulation restored(machine_, models_.model, models_.truth, config);
   restored.import_state(decoded.coupled);
   EXPECT_EQ(restored.state_fingerprint(), ckpt.state_fingerprint);
+}
+
+TEST_F(CheckpointTest, CoupledFileBytesArePinned) {
+  // The on-disk format, byte for byte: a coupled field run after 3
+  // intervals, with the registry's wall-clock seconds zeroed so the bytes
+  // are a pure function of the simulation. The value was captured from the
+  // per-byte encoder; a layout change of any kind moves it.
+  CoupledConfig config;
+  config.scenario.num_intervals = 4;
+  config.scenario.seed = 5;
+  CoupledSimulation sim(machine_, models_.model, models_.truth, config);
+  for (int i = 0; i < 3; ++i) sim.advance();
+
+  RunCheckpoint ckpt;
+  ckpt.kind = CheckpointKind::kCoupledRun;
+  ckpt.config_fingerprint = coupled_config_fingerprint(machine_, config);
+  ckpt.step = sim.interval();
+  ckpt.state_fingerprint = sim.state_fingerprint();
+  ckpt.coupled = sim.export_state();
+  MetricsRegistry counts_only;
+  for (const auto& [name, entry] : ckpt.coupled.pipeline.metrics.entries())
+    counts_only.add_entry(name, {0.0, entry.count});
+  ckpt.coupled.pipeline.metrics = std::move(counts_only);
+
+  const std::vector<std::byte> bytes = encode_checkpoint(ckpt);
+  Fingerprint fp;
+  fp.add_bytes(bytes.data(), bytes.size());
+  EXPECT_EQ(bytes.size(), 932576u);
+  EXPECT_EQ(fp.value(), 0x1ac5708d8945a76aull);
 }
 
 TEST_F(CheckpointTest, ZeroLengthFileIsRejected) {

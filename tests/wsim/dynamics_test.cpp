@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "redist/redistributor.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -98,7 +102,7 @@ TEST_F(DistributedDynamics, MatchesSequentialReferenceExactly) {
   Grid2D<double> distributed = random_field(nest.nx, nest.ny, 21);
   Grid2D<double> reference = distributed;
   const DynamicsParams p{0.5, 0.25, 0.05};
-  const DistributedNestStepper stepper(comm_, nest, Rect{2, 3, 5, 4}, 16, p);
+  DistributedNestStepper stepper(comm_, nest, Rect{2, 3, 5, 4}, 16, p);
   for (int s = 0; s < 8; ++s) {
     (void)stepper.step(distributed);
     reference = step_reference(reference, p);
@@ -109,7 +113,7 @@ TEST_F(DistributedDynamics, MatchesSequentialReferenceExactly) {
 TEST_F(DistributedDynamics, HaloTrafficAccounted) {
   const NestShape nest{64, 64};
   Grid2D<double> f = random_field(64, 64, 33);
-  const DistributedNestStepper stepper(comm_, nest, Rect{0, 0, 4, 4}, 16);
+  DistributedNestStepper stepper(comm_, nest, Rect{0, 0, 4, 4}, 16);
   const TrafficReport t = stepper.step(f);
   EXPECT_GT(t.total_bytes, 0);
   EXPECT_GT(t.num_messages, 0);
@@ -121,7 +125,7 @@ TEST_F(DistributedDynamics, HaloTrafficAccounted) {
 TEST_F(DistributedDynamics, SingleProcessorNeedsNoHalo) {
   const NestShape nest{16, 16};
   Grid2D<double> f = random_field(16, 16, 44);
-  const DistributedNestStepper stepper(comm_, nest, Rect{5, 5, 1, 1}, 16);
+  DistributedNestStepper stepper(comm_, nest, Rect{5, 5, 1, 1}, 16);
   const TrafficReport t = stepper.step(f);
   EXPECT_EQ(t.total_bytes, 0);
 }
@@ -136,14 +140,14 @@ TEST_F(DistributedDynamics, StepAfterRedistributionStaysExact) {
 
   const Rect old_rect{0, 0, 6, 5};
   const Rect new_rect{9, 2, 4, 7};
-  const DistributedNestStepper before(comm_, nest, old_rect, 16, p);
+  DistributedNestStepper before(comm_, nest, old_rect, 16, p);
   for (int s = 0; s < 3; ++s) {
     (void)before.step(field);
     reference = step_reference(reference, p);
   }
   const Redistributor redist(comm_, 8);
   field = redist.redistribute_field(field, old_rect, new_rect, 16);
-  const DistributedNestStepper after(comm_, nest, new_rect, 16, p);
+  DistributedNestStepper after(comm_, nest, new_rect, 16, p);
   for (int s = 0; s < 3; ++s) {
     (void)after.step(field);
     reference = step_reference(reference, p);
@@ -155,10 +159,89 @@ TEST_F(DistributedDynamics, MoreProcsThanCellsStillExact) {
   const NestShape nest{5, 5};
   Grid2D<double> f = random_field(5, 5, 66);
   Grid2D<double> ref = f;
-  const DistributedNestStepper stepper(comm_, nest, Rect{0, 0, 8, 8}, 16);
+  DistributedNestStepper stepper(comm_, nest, Rect{0, 0, 8, 8}, 16);
   (void)stepper.step(f);
   ref = step_reference(ref, DynamicsParams{});
   EXPECT_EQ(f, ref);
+}
+
+/// One step's halo messages, rebuilt from the decomposition in the
+/// stepper's emission order (block-major; west, east, south, north), so the
+/// priced report must match field for field.
+std::vector<Message> halo_messages(const BlockDecomposition& d) {
+  const Rect pr = d.proc_rect();
+  std::vector<Message> msgs;
+  for (int j = 0; j < pr.h; ++j) {
+    for (int i = 0; i < pr.w; ++i) {
+      const Rect mine = d.owned_region(i, j);
+      if (mine.empty()) continue;
+      const std::pair<int, int> neighbours[] = {
+          {i - 1, j}, {i + 1, j}, {i, j - 1}, {i, j + 1}};
+      for (const auto& [ni, nj] : neighbours) {
+        if (ni < 0 || ni >= pr.w || nj < 0 || nj >= pr.h) continue;
+        if (d.owned_region(ni, nj).empty()) continue;
+        const int cells = ni != i ? mine.h : mine.w;
+        msgs.push_back(
+            Message{d.rank_at(i, j), d.rank_at(ni, nj), std::int64_t{cells} * 8});
+      }
+    }
+  }
+  return msgs;
+}
+
+void expect_same_traffic(const TrafficReport& got, const TrafficReport& want) {
+  EXPECT_EQ(got.modeled_time, want.modeled_time);
+  EXPECT_EQ(got.total_bytes, want.total_bytes);
+  EXPECT_EQ(got.hop_bytes, want.hop_bytes);
+  EXPECT_EQ(got.local_bytes, want.local_bytes);
+  EXPECT_EQ(got.num_messages, want.num_messages);
+  EXPECT_EQ(got.max_hops, want.max_hops);
+}
+
+TEST_F(DistributedDynamics, BitIdenticalAcrossDecompositionsAndFlowSigns) {
+  struct Layout {
+    const char* name;
+    NestShape nest;
+    Rect proc_rect;  // on a 16-wide process grid
+  };
+  const Layout layouts[] = {
+      {"1x1", {23, 17}, Rect{4, 4, 1, 1}},
+      {"1xN", {23, 17}, Rect{0, 2, 1, 6}},
+      {"Nx1", {23, 17}, Rect{3, 0, 7, 1}},
+      {"more ranks than points", {5, 3}, Rect{0, 0, 8, 6}},
+      {"rect at the grid edge", {31, 26}, Rect{11, 13, 5, 3}},
+  };
+  const DynamicsParams flows[] = {
+      {0.5, 0.25, 0.05},   {-0.5, 0.25, 0.05}, {0.5, -0.25, 0.05},
+      {-0.5, -0.25, 0.05}, {0.3, -0.6, 0.0},
+  };
+  std::uint64_t seed = 100;
+  for (const Layout& layout : layouts) {
+    for (const DynamicsParams& p : flows) {
+      SCOPED_TRACE(std::string(layout.name) + ", u " + std::to_string(p.u) +
+                   " v " + std::to_string(p.v) + " diffusion " +
+                   std::to_string(p.diffusion));
+      Grid2D<double> distributed =
+          random_field(layout.nest.nx, layout.nest.ny, ++seed);
+      Grid2D<double> reference = distributed;
+      DistributedNestStepper stepper(comm_, layout.nest, layout.proc_rect,
+                                     16, p);
+      const TrafficReport want =
+          comm_.alltoallv(halo_messages(stepper.decomposition()));
+      for (int s = 0; s < 8; ++s) {
+        const TrafficReport got = stepper.step(distributed);
+        reference = step_reference(reference, p);
+        ASSERT_EQ(distributed, reference) << "step " << s;
+        expect_same_traffic(got, want);
+      }
+    }
+  }
+}
+
+TEST_F(DistributedDynamics, RejectsAFieldOfTheWrongShape) {
+  DistributedNestStepper stepper(comm_, NestShape{8, 6}, Rect{0, 0, 2, 2}, 16);
+  Grid2D<double> f(6, 8, 1.0);
+  EXPECT_THROW((void)stepper.step(f), CheckError);
 }
 
 }  // namespace
