@@ -316,9 +316,10 @@ int run_coupled(Machine& machine, const Options& opt) {
                  std::to_string(r.halo_traffic.total_bytes)});
     }
     } catch (const CancelledError&) {
-      // Cancellation is polled between adaptation transactions, so the
-      // simulation state is consistent: capture it, tell the operator how
-      // to pick the run back up, and exit with the interrupted code.
+      // advance() polls cancellation before an interval starts, so the
+      // simulation state is the last completed interval: capture it, tell
+      // the operator how to pick the run back up, and exit with the
+      // interrupted code.
       if (checkpointer) checkpointer->checkpoint_now(sim);
       std::cerr << "interrupted at interval " << sim.interval()
                 << (checkpointer

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/checkpoint_hook.hpp"
+#include "exec/cancel.hpp"
 #include "fault/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/fnv.hpp"
@@ -21,6 +22,15 @@ CoupledConfig with_shared_injector(CoupledConfig config) {
   return config;
 }
 
+/// The pipeline polls its token at the start of apply(), which in a coupled
+/// interval runs after the weather step and the tracker update; a
+/// cancellation there would leave a torn interval. advance() polls the
+/// token itself, before step 1, so the pipeline gets none.
+ManagerConfig without_cancel(ManagerConfig config) {
+  config.cancel = nullptr;
+  return config;
+}
+
 }  // namespace
 
 CoupledSimulation::CoupledSimulation(const Machine& machine,
@@ -30,7 +40,7 @@ CoupledSimulation::CoupledSimulation(const Machine& machine,
     : machine_(&machine),
       config_(with_shared_injector(std::move(config))),
       driver_(config_.scenario),
-      manager_(machine, model, truth, config_.manager),
+      manager_(machine, model, truth, without_cancel(config_.manager)),
       redistributor_(machine.comm(), config_.manager.bytes_per_point,
                      config_.manager.injector),
       workload_(WorkloadRegistry::global().create(
@@ -50,6 +60,7 @@ WorkloadEnv CoupledSimulation::workload_env(TrafficReport* data_movement) {
 }
 
 IntervalReport CoupledSimulation::advance() {
+  if (config_.manager.cancel != nullptr) config_.manager.cancel->check();
   IntervalReport report;
   report.interval = interval_++;
 

@@ -93,6 +93,10 @@ class CoupledSimulation {
                     const GroundTruthCost& truth, CoupledConfig config);
 
   /// Advance one adaptation interval (steps 1–6 of the file comment).
+  /// ManagerConfig::cancel is polled here, before anything moves, and
+  /// never inside the interval: a CancelledError leaves the simulation
+  /// exactly at the last completed interval, so checkpointing it then is
+  /// safe.
   IntervalReport advance();
 
   /// The live payload layer (named by CoupledConfig::workload).
