@@ -64,7 +64,8 @@ class Machine {
   /// Machine instances with equal fingerprints produce bit-identical cost
   /// summaries for equal pricing queries, because the label pins the
   /// topology + mapping construction and the grid pins the decomposition.
-  /// Used to scope cross-session caches (see SharedPricingCache).
+  /// Scopes every PricingCache entry, so one cache can serve many
+  /// machines and sessions (see pricing_cache.hpp).
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:

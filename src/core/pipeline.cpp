@@ -76,7 +76,8 @@ AdaptationPipeline::AdaptationPipeline(const Machine& machine,
       strategy_(StrategyRegistry::global().create(config_.strategy,
                                                   config_.strategy_options)),
       view_px_(machine.grid_px()),
-      view_py_(machine.grid_py()) {
+      view_py_(machine.grid_py()),
+      scope_(machine.fingerprint()) {
   ST_CHECK_MSG(config_.steps_per_interval >= 1,
                "steps_per_interval must be >= 1");
   ST_CHECK_MSG((config_.initial_view_px == 0) ==
@@ -270,27 +271,8 @@ void AdaptationPipeline::stage_build_candidates(PipelineContext& ctx,
           : [&](std::size_t pi) {
               config_.injector->guard_task("build_candidates", pi);
             };
-  // Pricing backend, in priority order: the process-wide shared cache
-  // (scoped by machine fingerprint, warmed across pipelines), the
-  // pipeline-private cache, or a direct computation when caching is off.
-  // All three are bit-identical; only hit rates differ.
-  const std::uint64_t scope =
-      config_.shared_pricing != nullptr ? machine_->fingerprint() : 0;
-  const auto price = [&](const NestShape& shape, const Rect& old_rect,
-                         const Rect& new_rect) {
-    if (!config_.pricing_cache) {
-      return redistribution_cost(shape, old_rect, new_rect,
-                                 machine_->grid_px(), config_.bytes_per_point,
-                                 &machine_->comm());
-    }
-    if (config_.shared_pricing != nullptr) {
-      return config_.shared_pricing->price(
-          scope, shape, old_rect, new_rect, machine_->grid_px(),
-          config_.bytes_per_point, &machine_->comm());
-    }
-    return cost_cache_.price(shape, old_rect, new_rect, machine_->grid_px(),
-                             config_.bytes_per_point, &machine_->comm());
-  };
+  PricingCache& cache =
+      config_.pricing_cache != nullptr ? *config_.pricing_cache : own_cache_;
   const std::function<void(std::size_t)> body = [&](std::size_t pi) {
     const Partitioner* p = partitioners[pi];
     PipelineCandidate& c = ctx.candidates[pi];
@@ -309,7 +291,10 @@ void AdaptationPipeline::stage_build_candidates(PipelineContext& ctx,
       const auto new_rect = c.alloc.find(nest.id);
       ST_CHECK_MSG(old_rect && new_rect,
                    "retained nest " << nest.id << " missing an allocation");
-      c.costs.push_back(price(nest.shape, *old_rect, *new_rect));
+      c.costs.push_back(cache.price(scope_, nest.shape, *old_rect,
+                                    *new_rect, machine_->grid_px(),
+                                    config_.bytes_per_point,
+                                    &machine_->comm()));
       c.overlap_points += c.costs.back().overlap_points;
       c.total_points += c.costs.back().total_points;
     }

@@ -58,9 +58,8 @@
 #include "perfmodel/exec_model.hpp"
 #include "perfmodel/ground_truth.hpp"
 #include "perfmodel/redist_model.hpp"
-#include "redist/cost_cache.hpp"
+#include "redist/pricing_cache.hpp"
 #include "redist/redistributor.hpp"
-#include "redist/shared_pricing.hpp"
 #include "util/metrics.hpp"
 
 namespace stormtrack {
@@ -109,22 +108,13 @@ struct ManagerConfig {
   int steps_per_interval = 5;
   /// Nest state bytes per fine-grid point (see redistributor.hpp).
   int bytes_per_point = kDefaultBytesPerPoint;
-  /// Serve repeated candidate pricings from the pipeline's RedistCostCache
-  /// (cost_cache.hpp). In the diffusion steady state most retained nests
-  /// keep their rectangles between points, so their summaries memoize;
-  /// results are bit-identical either way (A/B-tested), this is purely a
-  /// hot-path optimization. Off disables memoization for ablations.
-  bool pricing_cache = true;
-  /// Cross-session pricing reuse: when non-null, candidate pricings are
-  /// served from this process-wide cache (scoped by the machine's
-  /// fingerprint) *instead of* the pipeline-private RedistCostCache, so
-  /// pipelines sharing a machine model warm each other. Results are
-  /// bit-identical to the private cache and to no cache at all — entries
-  /// are pure functions of (machine fingerprint, pricing key). Must
-  /// outlive the pipeline; ignored when pricing_cache is false (ablations
-  /// stay uncached). The daemon's supervisor hands one instance to every
-  /// session (see ServeLimits::shared_pricing).
-  SharedPricingCache* shared_pricing = nullptr;
+  /// Where candidate pricings are memoized (pricing_cache.hpp); null
+  /// means the pipeline's own instance. A non-null cache is shared with
+  /// other pipelines on the same machine model, so they warm each other;
+  /// it must outlive the pipeline. Results are bit-identical either way —
+  /// entries are pure functions of (machine fingerprint, pricing key). The
+  /// daemon's supervisor hands one instance to every session.
+  PricingCache* pricing_cache = nullptr;
   /// Initial usable view of the machine grid, origin-anchored; 0 (the
   /// default) means the full grid. A run can start on a sub-view and grow
   /// into the machine later via resize_schedule — the malleable-job shape.
@@ -353,10 +343,13 @@ class AdaptationPipeline {
   int resize_events_applied_ = 0;    ///< Schedule entries consumed so far.
   FaultInjectorStats seen_faults_;   ///< Injector stats at last apply() end.
   PipelineContext ctx_;              ///< Reused scratch; reset() per attempt.
-  /// Memoized pricing (config_.pricing_cache); contents are pure functions
-  /// of their keys, so the cache is *not* part of the checkpointed state —
-  /// a resumed run simply starts cold and recomputes.
-  mutable RedistCostCache cost_cache_;
+  /// Memoized pricing used when config_.pricing_cache is null; contents
+  /// are pure functions of their keys, so the cache is *not* part of the
+  /// checkpointed state — a resumed run simply starts cold and recomputes.
+  /// Its capacity sets the flush timing, and so the cost_cache_hits/misses
+  /// and probe counts that the bench baselines pin.
+  mutable PricingCache own_cache_{1 << 16};
+  std::uint64_t scope_ = 0;  ///< machine_->fingerprint(), every key's scope.
 };
 
 /// Historical name of the pipeline (pre-refactor API); kept as an alias so

@@ -65,8 +65,8 @@ struct RedistCounters {
   /// ("moved blocks"); fully-local senders are skipped without being
   /// enumerated, so an identity move counts zero.
   std::int64_t moved_blocks_enumerated = 0;
-  /// RedistCostCache queries served from / missing the memo (incremental
-  /// candidate pricing; see cost_cache.hpp).
+  /// PricingCache queries served from / missing the memo (incremental
+  /// candidate pricing; see pricing_cache.hpp).
   std::int64_t cost_cache_hits = 0;
   std::int64_t cost_cache_misses = 0;
 };

@@ -317,7 +317,7 @@ MetricsRegistry SessionSupervisor::metrics() const {
   // Cross-session sharing counters accrue inside the caches (internally
   // synchronized), not under mutex_; fold current totals into the
   // snapshot so they read like any other server.* counter.
-  const SharedPricingCache::Stats pricing = pricing_.stats();
+  const PricingCache::Stats pricing = pricing_.stats();
   snapshot.add_count("server.pricing_shared_hits", pricing.hits);
   snapshot.add_count("server.pricing_shared_misses", pricing.misses);
   snapshot.add_count("server.pool_batches",
@@ -352,7 +352,7 @@ ServerStats SessionSupervisor::stats() const {
       ++stats.pool_delayed;
     }
   }
-  const SharedPricingCache::Stats pricing = pricing_.stats();
+  const PricingCache::Stats pricing = pricing_.stats();
   stats.pricing_shared_hits = static_cast<std::uint64_t>(pricing.hits);
   stats.pricing_shared_misses = static_cast<std::uint64_t>(pricing.misses);
   return stats;
@@ -527,7 +527,7 @@ std::unique_ptr<SessionSupervisor::SessionTask> SessionSupervisor::build_task(
   cfg.manager.strategy = spec.strategy;
   cfg.manager.cancel = &session.token;
   cfg.workload = spec.workload;
-  if (limits_.shared_pricing) cfg.manager.shared_pricing = &pricing_;
+  cfg.manager.pricing_cache = &pricing_;
   // The session's pipeline submits its data-parallel batches into the
   // supervisor's pool — never a private executor.
   cfg.manager.executor = pool_.get();

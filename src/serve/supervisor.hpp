@@ -28,10 +28,11 @@
 ///     executor's determinism contract keeps per-session results
 ///     byte-identical to serial execution regardless of pool width or
 ///     co-scheduled sessions.
-///   * **Cross-session pricing reuse.** Sessions sharing a machine model
-///     price candidates through a supervisor-wide SharedPricingCache
-///     scoped by Machine::fingerprint() (bit-identical to private
-///     caching; `server.pricing_shared_hits` proves the sharing).
+///   * **Cross-session pricing reuse.** Every session's pipeline prices
+///     candidates through one supervisor-wide PricingCache, scoped by
+///     Machine::fingerprint(), so sessions sharing a machine model warm
+///     each other (bit-identical to a pipeline's own cache;
+///     `server.pricing_shared_hits` proves the sharing).
 ///   * **Fair scheduling.** The queue is a FairQueue (serve/fair_queue.hpp):
 ///     per-priority lanes with an aging credit, so a low-priority session's
 ///     effective priority rises the longer it waits and no session starves
@@ -88,7 +89,7 @@
 #include "core/experiment.hpp"
 #include "exec/cancel.hpp"
 #include "exec/shared_pool.hpp"
-#include "redist/shared_pricing.hpp"
+#include "redist/pricing_cache.hpp"
 #include "serve/fair_queue.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
@@ -119,11 +120,6 @@ struct ServeLimits {
   /// parallel batches into a shared executor of the same width. 0 = one
   /// worker per max_active slot.
   int pool_threads = 0;
-  /// Serve candidate pricing from the supervisor-wide SharedPricingCache
-  /// so sessions sharing a machine model reuse each other's summaries.
-  /// Bit-identical results either way; hits surface as
-  /// server.pricing_shared_hits.
-  bool shared_pricing = true;
 };
 
 class SessionSupervisor {
@@ -331,9 +327,8 @@ class SessionSupervisor {
   /// session and outlives them all.
   std::unique_ptr<SharedPoolExecutor> pool_;
   /// Cross-session pricing cache (scoped by machine fingerprint); wired
-  /// into every session when limits_.shared_pricing. Internally
-  /// synchronized — not guarded by mutex_.
-  SharedPricingCache pricing_;
+  /// into every session. Internally synchronized — not guarded by mutex_.
+  PricingCache pricing_;
 
   mutable std::mutex mutex_;
   /// Signals workers only (run queue/stop). The watchdog sleeps on its own

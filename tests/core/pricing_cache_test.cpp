@@ -1,7 +1,8 @@
-/// The pipeline's memoized pricing is a pure optimization: cache-on and
-/// cache-off runs are bit-identical (fingerprints, outcomes, and metric
-/// totals), a steady trace actually produces hits, and the
-/// pipeline.stable_subtrees metric surfaces the incremental structure.
+/// The pipeline's memoized pricing is a pure optimization: runs on the
+/// pipeline's own cache and on an injected, already-warm cache are
+/// bit-identical (fingerprints, outcomes, and metric totals), a steady
+/// trace actually produces hits, and the pipeline.stable_subtrees metric
+/// surfaces the incremental structure.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "core/experiment.hpp"
 #include "core/machine.hpp"
 #include "core/traces.hpp"
+#include "redist/pricing_cache.hpp"
 #include "redist/redistributor.hpp"
 
 namespace stormtrack {
@@ -32,40 +34,50 @@ Trace steady_trace(int events) {
   return steady;
 }
 
-TEST(PricingCache, OnAndOffRunsAreBitIdentical) {
+TEST(PricingCache, WarmInjectedCacheMatchesOwnCache) {
+  // The uncached oracle is StrategyGolden.PipelineMatchesPreRefactorEnumPaths
+  // (strategy_test.cpp), whose values predate any pricing cache. Here the
+  // pipeline's own cache is checked against an injected one that an
+  // identical run has already warmed: every pricing is then a hit.
   const ModelStack models;
   const Machine machine = Machine::bluegene(256);
   const Trace trace = test_trace();
 
-  ManagerConfig cache_on;
-  cache_on.pricing_cache = true;
-  ManagerConfig cache_off;
-  cache_off.pricing_cache = false;
+  const TraceRunResult own = run_trace(machine, models.model, models.truth,
+                                       "dynamic", trace, ManagerConfig{});
+  PricingCache shared;
+  ManagerConfig injected;
+  injected.pricing_cache = &shared;
+  (void)run_trace(machine, models.model, models.truth, "dynamic", trace,
+                  injected);
+  const RedistCounters before = redist_counters();
+  const TraceRunResult warm = run_trace(machine, models.model, models.truth,
+                                        "dynamic", trace, injected);
+  const RedistCounters after = redist_counters();
 
-  const TraceRunResult on = run_trace(machine, models.model, models.truth,
-                                      "dynamic", trace, cache_on);
-  const TraceRunResult off = run_trace(machine, models.model, models.truth,
-                                       "dynamic", trace, cache_off);
-
-  EXPECT_EQ(on.final_state_fingerprint, off.final_state_fingerprint);
-  ASSERT_EQ(on.outcomes.size(), off.outcomes.size());
-  for (std::size_t i = 0; i < on.outcomes.size(); ++i) {
-    EXPECT_EQ(on.outcomes[i].chosen, off.outcomes[i].chosen) << i;
-    EXPECT_EQ(on.outcomes[i].committed.predicted_redist,
-              off.outcomes[i].committed.predicted_redist)
+  EXPECT_EQ(own.final_state_fingerprint, warm.final_state_fingerprint);
+  ASSERT_EQ(own.outcomes.size(), warm.outcomes.size());
+  for (std::size_t i = 0; i < own.outcomes.size(); ++i) {
+    EXPECT_EQ(own.outcomes[i].chosen, warm.outcomes[i].chosen) << i;
+    EXPECT_EQ(own.outcomes[i].committed.predicted_redist,
+              warm.outcomes[i].committed.predicted_redist)
         << i;
-    EXPECT_EQ(on.outcomes[i].traffic.hop_bytes,
-              off.outcomes[i].traffic.hop_bytes)
+    EXPECT_EQ(own.outcomes[i].traffic.hop_bytes,
+              warm.outcomes[i].traffic.hop_bytes)
         << i;
-    EXPECT_EQ(on.outcomes[i].overlap_fraction,
-              off.outcomes[i].overlap_fraction)
+    EXPECT_EQ(own.outcomes[i].overlap_fraction,
+              warm.outcomes[i].overlap_fraction)
         << i;
   }
   // Same pricing totals too: served and computed queries count alike.
-  EXPECT_EQ(on.metrics.get("pipeline.cost_queries").count,
-            off.metrics.get("pipeline.cost_queries").count);
-  EXPECT_EQ(on.metrics.get("pipeline.stable_subtrees").count,
-            off.metrics.get("pipeline.stable_subtrees").count);
+  EXPECT_EQ(own.metrics.get("pipeline.cost_queries").count,
+            warm.metrics.get("pipeline.cost_queries").count);
+  EXPECT_EQ(own.metrics.get("pipeline.stable_subtrees").count,
+            warm.metrics.get("pipeline.stable_subtrees").count);
+  // Nothing recomputed: the warm run priced through the injected cache.
+  EXPECT_EQ(after.cost_cache_misses, before.cost_cache_misses);
+  EXPECT_EQ(after.cost_cache_hits - before.cost_cache_hits,
+            warm.metrics.get("pipeline.cost_queries").count);
 }
 
 TEST(PricingCache, SteadyTraceServesRepeatsFromCache) {
@@ -90,17 +102,26 @@ TEST(PricingCache, SteadyTraceServesRepeatsFromCache) {
 
 TEST(PricingCache, HotpathCounterInvariantHoldsWithCacheOn) {
   // The instrumentation contract (hotpath_instrumentation_test) must hold
-  // with memoization enabled: every pricing, hit or miss, is a cost query.
+  // with memoization enabled, on the pipeline's own cache and on an
+  // injected one: every pricing, hit or miss, is a cost query.
   const ModelStack models;
   const Machine machine = Machine::bluegene(256);
   const Trace trace = steady_trace(6);
+  PricingCache shared;
+  ManagerConfig injected;
+  injected.pricing_cache = &shared;
 
-  const RedistCounters before = redist_counters();
-  const TraceRunResult r =
-      run_trace(machine, models.model, models.truth, "dynamic", trace);
-  const RedistCounters after = redist_counters();
-  EXPECT_EQ(after.cost_queries - before.cost_queries,
-            r.metrics.get("pipeline.cost_queries").count);
+  for (const ManagerConfig& config : {ManagerConfig{}, injected}) {
+    const RedistCounters before = redist_counters();
+    const TraceRunResult r = run_trace(machine, models.model, models.truth,
+                                       "dynamic", trace, config);
+    const RedistCounters after = redist_counters();
+    const std::int64_t queries = r.metrics.get("pipeline.cost_queries").count;
+    EXPECT_EQ(after.cost_queries - before.cost_queries, queries);
+    EXPECT_EQ((after.cost_cache_hits - before.cost_cache_hits) +
+                  (after.cost_cache_misses - before.cost_cache_misses),
+              queries);
+  }
 }
 
 }  // namespace

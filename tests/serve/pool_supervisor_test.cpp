@@ -214,31 +214,6 @@ TEST_F(PoolSupervisorTest, SharedPricingCacheWarmsAcrossSessions) {
   supervisor.stop();
 }
 
-TEST_F(PoolSupervisorTest, SharedPricingIsBitIdenticalToUnshared) {
-  // Belt and braces for the "sharing changes nothing" claim: the same
-  // sessions with the shared cache disabled land on identical
-  // fingerprints.
-  const SessionSpec spec = quick_spec(3, 77);
-  std::uint64_t shared_fp = 0;
-  {
-    SessionSupervisor supervisor(dir_ / "shared", pool_limits(2, 4));
-    supervisor.start();
-    const auto submit = supervisor.submit(spec);
-    ASSERT_EQ(submit.admission, Admission::kAccepted);
-    shared_fp = supervisor.wait_terminal(submit.id).fingerprint;
-    supervisor.stop();
-  }
-  ServeLimits unshared = pool_limits(2, 4);
-  unshared.shared_pricing = false;
-  SessionSupervisor supervisor(dir_ / "unshared", unshared);
-  supervisor.start();
-  const auto submit = supervisor.submit(spec);
-  ASSERT_EQ(submit.admission, Admission::kAccepted);
-  EXPECT_EQ(supervisor.wait_terminal(submit.id).fingerprint, shared_fp);
-  EXPECT_EQ(supervisor.metrics().get("server.pricing_shared_hits").count, 0);
-  supervisor.stop();
-}
-
 TEST_F(PoolSupervisorTest, DefaultPoolWidthIsOneWorkerPerAdmissionSlot) {
   ServeLimits limits;
   limits.max_active = 3;
