@@ -680,6 +680,29 @@ ResumeReport resume_coupled(CoupledSimulation& sim,
   return report;
 }
 
+void add_fingerprint(Fingerprint& fp, const RealScenarioConfig& sc) {
+  fp.add(sc.num_intervals);
+  fp.add(sc.sim_px);
+  fp.add(sc.sim_py);
+  fp.add(static_cast<std::uint64_t>(sc.seed));
+  fp.add(sc.weather.domain.lon_min);
+  fp.add(sc.weather.domain.lon_max);
+  fp.add(sc.weather.domain.lat_min);
+  fp.add(sc.weather.domain.lat_max);
+  fp.add(sc.weather.domain.resolution_km);
+  fp.add(sc.weather.spawn_probability);
+  fp.add(sc.weather.min_systems);
+  fp.add(sc.weather.max_systems);
+  fp.add(sc.weather.qcloud_clear);
+  fp.add(sc.weather.olr_clear);
+  fp.add(sc.weather.olr_depression);
+  fp.add(sc.weather.qcloud_opaque);
+  fp.add(sc.pda.olr_threshold);
+  fp.add(sc.pda.analysis_procs);
+  fp.add(sc.pda.root);
+  fp.add(sc.pda.max_read_retries);
+}
+
 std::uint64_t coupled_config_fingerprint(const Machine& machine,
                                          const CoupledConfig& config) {
   Fingerprint fp;
@@ -705,27 +728,7 @@ std::uint64_t coupled_config_fingerprint(const Machine& machine,
     fp.add(e.px);
     fp.add(e.py);
   }
-  const RealScenarioConfig& sc = config.scenario;
-  fp.add(sc.num_intervals);
-  fp.add(sc.sim_px);
-  fp.add(sc.sim_py);
-  fp.add(static_cast<std::uint64_t>(sc.seed));
-  fp.add(sc.weather.domain.lon_min);
-  fp.add(sc.weather.domain.lon_max);
-  fp.add(sc.weather.domain.lat_min);
-  fp.add(sc.weather.domain.lat_max);
-  fp.add(sc.weather.domain.resolution_km);
-  fp.add(sc.weather.spawn_probability);
-  fp.add(sc.weather.min_systems);
-  fp.add(sc.weather.max_systems);
-  fp.add(sc.weather.qcloud_clear);
-  fp.add(sc.weather.olr_clear);
-  fp.add(sc.weather.olr_depression);
-  fp.add(sc.weather.qcloud_opaque);
-  fp.add(sc.pda.olr_threshold);
-  fp.add(sc.pda.analysis_procs);
-  fp.add(sc.pda.root);
-  fp.add(sc.pda.max_read_retries);
+  add_fingerprint(fp, config.scenario);
   if (config.manager.injector != nullptr) {
     const FaultPlan& plan = config.manager.injector->plan();
     fp.add(static_cast<std::int64_t>(plan.events.size()));

@@ -44,6 +44,7 @@
 #include "core/coupled.hpp"
 #include "core/pipeline.hpp"
 #include "fault/fault_injector.hpp"
+#include "util/fnv.hpp"
 
 namespace stormtrack {
 
@@ -207,6 +208,10 @@ struct ResumeReport {
 [[nodiscard]] ResumeReport resume_coupled(CoupledSimulation& sim,
                                           const std::filesystem::path& dir,
                                           std::uint64_t config_fingerprint);
+
+/// Fold every field of a real-mode scenario into \p fp: the one scenario
+/// hash of coupled checkpoints and scenario sweep journals.
+void add_fingerprint(Fingerprint& fp, const RealScenarioConfig& sc);
 
 /// Fingerprint binding coupled-run checkpoints to their configuration:
 /// machine label + grid, strategy + options, scenario seeds/extents, fault

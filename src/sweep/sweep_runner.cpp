@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "ckpt/checkpoint.hpp"
 #include "core/coupled.hpp"
 #include "exec/cancel.hpp"
 #include "fault/fault_injector.hpp"
@@ -412,21 +413,7 @@ std::uint64_t sweep_spec_fingerprint(const SweepSpec& spec) {
     fp.add(static_cast<std::int64_t>(spec.scenarios.size()));
     for (const SweepScenario& s : spec.scenarios) {
       fp.add(std::string_view(s.name));
-      const RealScenarioConfig& sc = s.scenario;
-      fp.add(sc.num_intervals);
-      fp.add(sc.sim_px);
-      fp.add(sc.sim_py);
-      fp.add(static_cast<std::uint64_t>(sc.seed));
-      fp.add(sc.weather.domain.lon_min);
-      fp.add(sc.weather.domain.lon_max);
-      fp.add(sc.weather.domain.lat_min);
-      fp.add(sc.weather.domain.lat_max);
-      fp.add(sc.weather.domain.resolution_km);
-      fp.add(sc.weather.spawn_probability);
-      fp.add(sc.weather.min_systems);
-      fp.add(sc.weather.max_systems);
-      fp.add(sc.pda.olr_threshold);
-      fp.add(sc.pda.analysis_procs);
+      add_fingerprint(fp, s.scenario);
     }
   }
   fp.add(static_cast<std::int64_t>(spec.machines.size()));

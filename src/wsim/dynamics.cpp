@@ -99,8 +99,6 @@ Grid2D<double> step_reference(const Grid2D<double>& field,
                               const DynamicsParams& params) {
   validate_params(params);
   Grid2D<double> out(field.width(), field.height());
-  // Each output row depends only on the (read-only) input field.
-#pragma omp parallel for schedule(static)
   for (int y = 0; y < field.height(); ++y)
     for (int x = 0; x < field.width(); ++x)
       out(x, y) = update_cell(field, x, y, params);

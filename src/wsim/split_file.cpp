@@ -14,7 +14,7 @@ std::vector<SplitFile> write_split_files(const WeatherModel& model, int px,
   ST_CHECK_MSG(px >= 1 && py >= 1,
                "process grid must be positive, got " << px << "x" << py);
   const Grid2D<double>& q = model.qcloud();
-  const Grid2D<double>& o = model.olr();
+  const WeatherConfig& cfg = model.config();
   std::vector<SplitFile> files;
   files.reserve(static_cast<std::size_t>(px) * py);
   for (int j = 0; j < py; ++j) {
@@ -25,10 +25,8 @@ std::vector<SplitFile> write_split_files(const WeatherModel& model, int px,
       f.rank = j * px + i;
       f.grid_px = px;
       f.subdomain = Rect{cols.begin, rows.begin, cols.count, rows.count};
-      if (!f.subdomain.empty()) {
-        f.qcloud = q.extract(f.subdomain);
-        f.olr = o.extract(f.subdomain);
-      }
+      f.qcloud = q.extract(f.subdomain);
+      f.olr = cfg.olr_of(f.qcloud);
       files.push_back(std::move(f));
     }
   }
@@ -47,11 +45,15 @@ void write_grid(std::ofstream& os, const Grid2D<double>& g) {
            static_cast<std::streamsize>(g.data().size() * sizeof(double)));
 }
 
-Grid2D<double> read_grid(std::ifstream& is) {
+/// Reads one tile, which must be \p subdomain's size: a corrupt size
+/// throws CheckError before anything is allocated.
+Grid2D<double> read_grid(std::ifstream& is, const Rect& subdomain) {
   std::int32_t w = 0, h = 0;
   is.read(reinterpret_cast<char*>(&w), sizeof w);
   is.read(reinterpret_cast<char*>(&h), sizeof h);
-  ST_CHECK_MSG(is.good() && w >= 0 && h >= 0, "corrupt split file grid");
+  ST_CHECK_MSG(is.good() && w == subdomain.w && h == subdomain.h,
+               "split file tile " << w << "x" << h << " does not match "
+                                  << subdomain);
   Grid2D<double> g(w, h);
   is.read(reinterpret_cast<char*>(g.data().data()),
           static_cast<std::streamsize>(g.data().size() * sizeof(double)));
@@ -94,8 +96,8 @@ SplitFile load_split_file(const std::filesystem::path& dir, int rank,
   f.rank = header[0];
   f.grid_px = header[1];
   f.subdomain = Rect{header[2], header[3], header[4], header[5]};
-  f.qcloud = read_grid(is);
-  f.olr = read_grid(is);
+  f.qcloud = read_grid(is, f.subdomain);
+  f.olr = read_grid(is, f.subdomain);
   return f;
 }
 

@@ -32,16 +32,20 @@ WeatherConfig WeatherConfig::mumbai_2005() {
   return c;
 }
 
+Grid2D<double> WeatherConfig::olr_of(Grid2D<double> qcloud) const {
+  for (double& v : qcloud.data()) v = olr_of(v);
+  return qcloud;
+}
+
 WeatherModel::WeatherModel(WeatherConfig config, std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      qcloud_(config.domain.nx(), config.domain.ny(), config.qcloud_clear),
-      olr_(config.domain.nx(), config.domain.ny(), config.olr_clear) {
+      qcloud_(config.domain.nx(), config.domain.ny(), config.qcloud_clear) {
   ST_CHECK_MSG(config_.max_systems >= config_.min_systems,
                "max_systems must be >= min_systems");
   while (static_cast<int>(systems_.size()) < config_.min_systems)
     spawn_system();
-  render_fields();
+  render_qcloud();
 }
 
 void WeatherModel::spawn_system() {
@@ -97,10 +101,10 @@ void WeatherModel::step() {
       rng_.bernoulli(config_.spawn_probability))
     spawn_system();
 
-  render_fields();
+  render_qcloud();
 }
 
-void WeatherModel::render_fields() {
+void WeatherModel::render_qcloud() {
   const int nx = qcloud_.width();
   const int ny = qcloud_.height();
   qcloud_.fill(config_.qcloud_clear);
@@ -119,17 +123,6 @@ void WeatherModel::render_fields() {
       }
     }
   }
-
-  // OLR: clear-sky value depressed where cloud water is high (coherent
-  // low-OLR patterns over organized systems, §III). Rows are independent.
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < ny; ++y) {
-    for (int x = 0; x < nx; ++x) {
-      const double opacity =
-          std::min(1.0, qcloud_(x, y) / config_.qcloud_opaque);
-      olr_(x, y) = config_.olr_clear - config_.olr_depression * opacity;
-    }
-  }
 }
 
 WeatherModel::State WeatherModel::export_state() const {
@@ -146,7 +139,7 @@ void WeatherModel::import_state(const State& state) {
   step_ = state.step;
   rng_.set_state(state.rng);
   systems_ = state.systems;
-  render_fields();
+  render_qcloud();
 }
 
 }  // namespace stormtrack

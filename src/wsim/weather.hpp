@@ -10,10 +10,12 @@
 /// fields, so the substitution is a generator that evolves a population of
 /// organized convective systems — anisotropic Gaussian cloud clusters that
 /// form, drift with a monsoon-like steering flow, intensify, merge
-/// spatially, and decay — and renders QCLOUD/OLR from them. Darker Fig. 1
-/// regions ↔ higher QCLOUD; OLR drops below the paper's 200 threshold
+/// spatially, and decay — and renders QCLOUD from them. Darker Fig. 1
+/// regions ↔ higher QCLOUD. OLR is derived from QCLOUD cell by cell
+/// (WeatherConfig::olr_of) and drops below the paper's 200 threshold
 /// where cloud tops are tall.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -58,18 +60,26 @@ struct WeatherConfig {
   double olr_depression = 170.0;     ///< Max OLR drop under thick cloud.
   double qcloud_opaque = 4e-4;       ///< QCLOUD at which cloud is "tall".
 
+  /// OLR (W/m²) over \p qcloud: clear sky, depressed in proportion to
+  /// cloud opacity (low-OLR patterns over organized systems, §III).
+  [[nodiscard]] double olr_of(double qcloud) const {
+    return olr_clear - olr_depression * std::min(1.0, qcloud / qcloud_opaque);
+  }
+  /// olr_of applied to every cell of a QCLOUD grid.
+  [[nodiscard]] Grid2D<double> olr_of(Grid2D<double> qcloud) const;
+
   /// The Mumbai July-2005 flavoured scenario (§V-B): a persistent intense
   /// system near the west coast plus transient systems, 2–7 concurrent.
   [[nodiscard]] static WeatherConfig mumbai_2005();
 };
 
-/// Evolves the cloud-system population and renders QCLOUD/OLR.
+/// Evolves the cloud-system population and renders QCLOUD.
 class WeatherModel {
  public:
   WeatherModel(WeatherConfig config, std::uint64_t seed);
 
   /// Advance one coupled interval: move/grow/decay systems, spawn new ones,
-  /// re-render the fields.
+  /// re-render QCLOUD.
   void step();
 
   [[nodiscard]] int time_step() const { return step_; }
@@ -80,13 +90,14 @@ class WeatherModel {
 
   /// Cloud water mixing ratio field (kg/kg), nx()×ny().
   [[nodiscard]] const Grid2D<double>& qcloud() const { return qcloud_; }
-  /// Outgoing long-wave radiation field (W/m²).
-  [[nodiscard]] const Grid2D<double>& olr() const { return olr_; }
+  /// Outgoing long-wave radiation field (W/m²), derived from QCLOUD on
+  /// each call.
+  [[nodiscard]] Grid2D<double> olr() const { return config_.olr_of(qcloud_); }
 
   /// Complete evolving state for checkpoint/restart: the RNG position, the
-  /// cloud-system population and the step counter. The rendered fields are
-  /// a deterministic function of the systems, so import_state() re-renders
-  /// them instead of carrying two full grids in every checkpoint.
+  /// cloud-system population and the step counter. The QCLOUD field is a
+  /// deterministic function of the systems, so import_state() re-renders
+  /// it instead of carrying a full grid in every checkpoint.
   struct State {
     int step = 0;
     Xoshiro256::State rng;
@@ -99,13 +110,12 @@ class WeatherModel {
 
  private:
   void spawn_system();
-  void render_fields();
+  void render_qcloud();
 
   WeatherConfig config_;
   Xoshiro256 rng_;
   std::vector<CloudSystem> systems_;
   Grid2D<double> qcloud_;
-  Grid2D<double> olr_;
   int step_ = 0;
 };
 

@@ -146,6 +146,20 @@ TEST(SweepScenario, FingerprintBindsScenarioAxisAndWorkload) {
   EXPECT_EQ(sweep_spec_fingerprint(trace_spec), trace_fp);
 }
 
+TEST(SweepScenario, FingerprintBindsWholeScenario) {
+  // A journal must not resume cases run under other OLR physics or PDA
+  // settings: every scenario field reaches the fingerprint.
+  const std::uint64_t fp = sweep_spec_fingerprint(scenario_grid());
+
+  SweepSpec darker = scenario_grid();
+  darker.scenarios[0].scenario.weather.olr_depression += 10.0;
+  EXPECT_NE(sweep_spec_fingerprint(darker), fp);
+
+  SweepSpec retries = scenario_grid();
+  retries.scenarios[0].scenario.pda.max_read_retries += 1;
+  EXPECT_NE(sweep_spec_fingerprint(retries), fp);
+}
+
 TEST(SweepScenario, SupervisedScenarioSweepJournalsAndReplays) {
   const ModelStack models;
   SweepSpec spec = scenario_grid();

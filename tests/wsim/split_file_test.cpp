@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
+#include "pda/pda.hpp"
 #include "util/check.hpp"
 
 namespace stormtrack {
@@ -39,13 +43,22 @@ TEST(SplitFile, SubdomainsTileTheDomain) {
 }
 
 TEST(SplitFile, TileValuesMatchGlobalField) {
-  const WeatherModel m = small_model();
+  WeatherModel m = small_model();
+  for (int i = 0; i < 3; ++i) m.step();
+  const WeatherConfig& cfg = m.config();
+  const Grid2D<double> olr = m.olr();
   const auto files = write_split_files(m, 4, 4);
   for (const SplitFile& f : files) {
-    for (int y = 0; y < f.subdomain.h; ++y)
-      for (int x = 0; x < f.subdomain.w; ++x)
-        ASSERT_DOUBLE_EQ(f.qcloud(x, y),
-                         m.qcloud()(f.subdomain.x + x, f.subdomain.y + y));
+    for (int y = 0; y < f.subdomain.h; ++y) {
+      for (int x = 0; x < f.subdomain.w; ++x) {
+        const int gx = f.subdomain.x + x, gy = f.subdomain.y + y;
+        ASSERT_EQ(f.qcloud(x, y), m.qcloud()(gx, gy));
+        // The OLR tile is derived from the QCLOUD tile, bit for bit the
+        // value the whole-field OLR holds at that cell.
+        ASSERT_EQ(f.olr(x, y), olr(gx, gy));
+        ASSERT_EQ(f.olr(x, y), cfg.olr_of(f.qcloud(x, y)));
+      }
+    }
   }
 }
 
@@ -81,6 +94,38 @@ TEST(SplitFile, MissingFileThrows) {
                    "stormtrack_splitfile_missing";
   std::filesystem::remove_all(dir);
   EXPECT_THROW((void)load_split_file(dir, 0), CheckError);
+}
+
+TEST(SplitFile, PatchedTileSizeIsRefusedBeforeAllocating) {
+  const WeatherModel m = small_model();
+  const auto files = write_split_files(m, 4, 4);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "stormtrack_splitfile_patched";
+  std::filesystem::remove_all(dir);
+  for (const SplitFile& f : files) save_split_file(f, dir);
+  // Rank 1's QCLOUD tile claims 2^31-1 x 2^31-1 cells; rank 2's QCLOUD
+  // tile claims one column fewer than its OLR tile. Tile sizes follow the
+  // magic (4 bytes) and the six-int header (24 bytes).
+  const auto patch = [&](int rank, std::int32_t w, std::int32_t h) {
+    std::fstream io(dir / ("wrfout_d01_" + std::to_string(rank) + ".bin"),
+                    std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(28);
+    io.write(reinterpret_cast<const char*>(&w), sizeof w);
+    io.write(reinterpret_cast<const char*>(&h), sizeof h);
+  };
+  patch(1, 0x7fffffff, 0x7fffffff);
+  patch(2, files[2].subdomain.w - 1, files[2].subdomain.h);
+  EXPECT_THROW((void)load_split_file(dir, 1), CheckError);
+  EXPECT_THROW((void)load_split_file(dir, 2), CheckError);
+
+  PdaConfig cfg;
+  cfg.analysis_procs = 4;
+  const PdaResult result = parallel_data_analysis_from_dir(
+      dir, static_cast<int>(files.size()), cfg);
+  ASSERT_EQ(result.lost_files.size(), 2u);
+  EXPECT_EQ(result.lost_files[0].file_rank, 1);
+  EXPECT_EQ(result.lost_files[1].file_rank, 2);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SplitFile, BadGridThrows) {
