@@ -29,6 +29,14 @@
 /// in the rank count — the dense sender×receiver walk this path replaced
 /// was Ω(P) per query, so quadratic behaviour cannot sneak past the drift
 /// gate.
+///
+/// A last row, "pipeline/topo=dragonfly/ranks=1024", covers the whole
+/// adaptation path rather than pricing alone: run_trace under the dynamic
+/// strategy on a synthetic trace. Candidate pricing and the ground-truth
+/// Redistribute stage both read the streaming cost summaries, so this row
+/// pins counter_plans_built = counter_messages_materialized = 0 for the
+/// full pipeline (also asserted in-binary) next to its cost queries and
+/// moved blocks.
 
 #include <chrono>
 #include <cstdint>
@@ -39,6 +47,7 @@
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
 #include "core/machine.hpp"
+#include "core/traces.hpp"
 #include "perfmodel/redist_model.hpp"
 #include "redist/redistributor.hpp"
 #include "util/check.hpp"
@@ -98,6 +107,23 @@ std::vector<PricingCase> make_workload(int points, int nests, int px, int py,
   return out;
 }
 
+/// Counter deltas from \p before to \p after.
+RedistCounters counter_delta(const RedistCounters& before,
+                             const RedistCounters& after) {
+  RedistCounters d;
+  d.cost_queries = after.cost_queries - before.cost_queries;
+  d.plans_built = after.plans_built - before.plans_built;
+  d.messages_materialized =
+      after.messages_materialized - before.messages_materialized;
+  d.message_bytes_materialized =
+      after.message_bytes_materialized - before.message_bytes_materialized;
+  d.intersection_probes =
+      after.intersection_probes - before.intersection_probes;
+  d.moved_blocks_enumerated =
+      after.moved_blocks_enumerated - before.moved_blocks_enumerated;
+  return d;
+}
+
 struct RowResult {
   double wall_seconds = 0.0;
   std::int64_t cases = 0;
@@ -137,16 +163,7 @@ RowResult run_config(int ranks, int nests) {
 
   row.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   row.cases = static_cast<std::int64_t>(workload.size()) * kRepeats;
-  row.redist.cost_queries = after.cost_queries - before.cost_queries;
-  row.redist.plans_built = after.plans_built - before.plans_built;
-  row.redist.messages_materialized =
-      after.messages_materialized - before.messages_materialized;
-  row.redist.message_bytes_materialized =
-      after.message_bytes_materialized - before.message_bytes_materialized;
-  row.redist.intersection_probes =
-      after.intersection_probes - before.intersection_probes;
-  row.redist.moved_blocks_enumerated =
-      after.moved_blocks_enumerated - before.moved_blocks_enumerated;
+  row.redist = counter_delta(before, after);
   row.exec = models.model.cache_stats();
   return row;
 }
@@ -179,14 +196,7 @@ RowResult run_extreme(const std::string& topo, int ranks) {
 
   row.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   row.cases = static_cast<std::int64_t>(workload.size());
-  row.redist.cost_queries = after.cost_queries - before.cost_queries;
-  row.redist.plans_built = after.plans_built - before.plans_built;
-  row.redist.messages_materialized =
-      after.messages_materialized - before.messages_materialized;
-  row.redist.intersection_probes =
-      after.intersection_probes - before.intersection_probes;
-  row.redist.moved_blocks_enumerated =
-      after.moved_blocks_enumerated - before.moved_blocks_enumerated;
+  row.redist = counter_delta(before, after);
 
   // The scaling gate: grid-spanning rects probe O((w + h) · log P) — far
   // below one probe per rank. Linear (let alone quadratic) behaviour
@@ -196,6 +206,39 @@ RowResult run_extreme(const std::string& topo, int ranks) {
   ST_CHECK_MSG(per_query < static_cast<double>(ranks),
                topo << " at " << ranks << " ranks: " << per_query
                     << " probes/query is not sub-linear in the rank count");
+  return row;
+}
+
+// ------------------------------------------------ whole adaptation path
+
+/// run_trace under the dynamic strategy: every stage of every adaptation
+/// point, the ground-truth Redistribute stage included. Serial (the
+/// default executor), so the pipeline's own pricing cache — and with it
+/// the moved-block count — is deterministic.
+RowResult run_pipeline(const std::string& topo, int ranks) {
+  const Machine machine = Machine::by_name(topo, ranks);
+  const ModelStack models;
+  SyntheticTraceConfig cfg;
+  cfg.num_events = 30;
+  cfg.seed = 0xada97;
+  const Trace trace = generate_synthetic_trace(cfg);
+
+  RowResult row;
+  const RedistCounters before = redist_counters();
+  const auto t0 = std::chrono::steady_clock::now();
+  const TraceRunResult run =
+      run_trace(machine, models.model, models.truth, "dynamic", trace);
+  const auto t1 = std::chrono::steady_clock::now();
+  row.redist = counter_delta(before, redist_counters());
+
+  row.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  row.cases = static_cast<std::int64_t>(trace.size());
+  row.checksum = run.total();
+  ST_CHECK_MSG(row.redist.plans_built == 0 &&
+                   row.redist.messages_materialized == 0,
+               topo << " at " << ranks << " ranks: the adaptation path built "
+                    << row.redist.plans_built << " plans ("
+                    << row.redist.messages_materialized << " messages)");
   return row;
 }
 
@@ -301,10 +344,32 @@ int main(int argc, char** argv) {
   }
   extreme.print(std::cout);
 
-  std::cout << "Pricing must build zero plans and materialize zero messages "
-               "(counters above);\nwall times are advisory, the counter_* "
-               "fields are the regression gate. The\nextreme-scale rows "
-               "additionally assert sub-linear probe growth in-binary.\n";
+  {
+    const RowResult row = run_pipeline("dragonfly", 1024);
+    std::cout << "\nWhole adaptation path (run_trace, dynamic, dragonfly/1024): "
+              << row.cases << " points, " << row.redist.cost_queries
+              << " cost queries, " << row.redist.plans_built
+              << " plans built, " << Table::num(row.wall_seconds * 1e3, 2)
+              << " ms\n";
+    summary
+        .add_row("pipeline/topo=dragonfly/ranks=1024", row.wall_seconds, 1,
+                 row.cases)
+        .add_field("counter_cost_queries",
+                   static_cast<double>(row.redist.cost_queries))
+        .add_field("counter_plans_built",
+                   static_cast<double>(row.redist.plans_built))
+        .add_field("counter_messages_materialized",
+                   static_cast<double>(row.redist.messages_materialized))
+        .add_field("counter_moved_blocks",
+                   static_cast<double>(row.redist.moved_blocks_enumerated))
+        .add_field("checksum", row.checksum);
+  }
+
+  std::cout << "Pricing and the whole adaptation path must build zero plans "
+               "and materialize\nzero messages (counters above); wall times "
+               "are advisory, the counter_* fields\nare the regression gate. "
+               "The extreme-scale rows additionally assert\nsub-linear probe "
+               "growth in-binary.\n";
 
   if (const auto path = bench::json_output_path(argc, argv))
     summary.write(*path);

@@ -282,9 +282,10 @@ void AdaptationPipeline::stage_build_candidates(PipelineContext& ctx,
                        view_rect());
     // Redistribution pricing: one streaming cost summary per retained nest
     // (§IV: "MPI_Alltoallv to redistribute data for each nest"), moving
-    // from the committed allocation to this candidate's. Aggregates only —
-    // the message matrices are materialized in the Redistribute stage, so
-    // candidate pricing never allocates a Message vector.
+    // from the committed allocation to this candidate's. Each summary
+    // carries both the §IV-C-1 prediction terms (PredictCosts) and the
+    // phase time the simulated network charges (Redistribute), so no stage
+    // ever allocates a Message vector.
     c.costs.reserve(ctx.retained.size());
     for (const NestSpec& nest : ctx.retained) {
       const auto old_rect = allocation_.find(nest.id);
@@ -379,21 +380,17 @@ StepOutcome AdaptationPipeline::stage_redistribute(PipelineContext& ctx) {
           ctx.candidates.size(),
           [&](std::size_t ci) {
         PipelineCandidate& c = ctx.candidates[ci];
-        // The message matrices are materialized here — the only stage that
-        // actually moves data — from the still-committed allocation_ (it is
-        // not replaced until after this stage), so the plans are exactly
-        // the moves the pricing stages summarized.
-        for (const NestSpec& nest : ctx.retained) {
-          const auto old_rect = allocation_.find(nest.id);
-          const auto new_rect = c.alloc.find(nest.id);
-          ST_CHECK_MSG(old_rect && new_rect,
-                       "retained nest " << nest.id
-                                        << " missing an allocation");
-          const RedistPlan plan = plan_redistribution(
-              nest.shape, *old_rect, *new_rect, machine_->grid_px(),
-              config_.bytes_per_point);
-          c.traffic += machine_->comm().alltoallv(plan.messages);
-        }
+        // Each retained nest's phase, charged at ground truth:
+        // BuildCandidates priced exactly these moves (from the still-committed allocation_,
+        // which is not replaced until after this stage) against the
+        // simulated network, so the summaries already hold the Alltoallv
+        // phase each materialized message plan would cost.
+        ST_CHECK_MSG(c.costs.size() == ctx.retained.size(),
+                     "candidate '" << c.name << "' priced " << c.costs.size()
+                                   << " phases for " << ctx.retained.size()
+                                   << " retained nests");
+        for (const RedistCostSummary& cost : c.costs)
+          c.traffic += cost.traffic();
         c.metrics.actual_redist = c.traffic.modeled_time;
         double actual_max = 0.0;
         for (const NestSpec& nest : ctx.active) {
@@ -490,7 +487,6 @@ void AdaptationPipeline::reallocate_on_view(const std::string& metric_prefix) {
                      ".validations");
   std::int64_t total_points = 0;
   std::int64_t overlap_points = 0;
-  TrafficReport traffic;
   for (const auto& [nest_id, new_rect] : new_alloc.rects()) {
     const auto old_rect = old_alloc.find(nest_id);
     ST_CHECK_MSG(old_rect.has_value(),
@@ -498,12 +494,11 @@ void AdaptationPipeline::reallocate_on_view(const std::string& metric_prefix) {
     const auto spec = current_.find(nest_id);
     ST_CHECK_MSG(spec != current_.end(),
                  "nest " << nest_id << " missing from the active map");
-    const RedistPlan plan = plan_redistribution(
+    const RedistCostSummary cost = redistribution_cost(
         spec->second.shape, *old_rect, new_rect, machine_->grid_px(),
         config_.bytes_per_point);
-    traffic += machine_->comm().alltoallv(plan.messages);
-    total_points += plan.total_points;
-    overlap_points += plan.overlap_points;
+    total_points += cost.total_points;
+    overlap_points += cost.overlap_points;
   }
   metrics_.add_count(metric_prefix + "_total_points", total_points);
   metrics_.add_count(metric_prefix + "_overlap_points", overlap_points);
@@ -595,6 +590,8 @@ StepOutcome AdaptationPipeline::apply_attempt(PipelineContext& ctx,
   }
   metrics_.add_count("pipeline.candidates_built",
                      static_cast<std::int64_t>(ctx.candidates.size()));
+  // Ground-truth phases charged, one per candidate × retained nest; no
+  // plan is built. Checkpoints carry the metric under this name.
   metrics_.add_count("pipeline.redist_plans",
                      static_cast<std::int64_t>(ctx.retained.size()) *
                          static_cast<std::int64_t>(ctx.candidates.size()));

@@ -15,15 +15,18 @@
 ///                    ReconfigRequest;
 ///   BuildCandidates  propose both candidate trees — partition-from-scratch
 ///                    (§IV-A) and tree-based hierarchical diffusion
-///                    (§IV-B) — allocate them, and plan the retained
-///                    nests' redistribution message matrices;
+///                    (§IV-B) — allocate them, and price each retained
+///                    nest's redistribution with the streaming cost walk
+///                    (one summary holds prediction terms and ground
+///                    truth; no message matrix is built);
 ///   PredictCosts     price every candidate with the §IV-C performance
 ///                    models (redistribution: §IV-C-1; execution:
 ///                    §IV-C-2);
 ///   Commit           ask the configured IStrategy which candidate to
 ///                    commit — on predictions only, like the real system;
-///   Redistribute     run every candidate's redistribution phases on the
-///                    simulated network and charge ground-truth execution
+///   Redistribute     charge every candidate's redistribution phases at
+///                    the simulated network's ground truth (read from the
+///                    BuildCandidates summaries) and ground-truth execution
 ///                    (both candidates are scored so experiments can judge
 ///                    decisions against the road not taken, §V-F), then
 ///                    install the committed tree + allocation.
@@ -167,8 +170,9 @@ struct PipelineCandidate {
   AllocTree tree;                 ///< Proposed allocation tree.
   Allocation alloc;               ///< Subdivision of the process grid.
   /// Streaming redistribution cost aggregates, one per retained nest, in
-  /// PipelineContext::retained order. Pricing only — no message matrices
-  /// are materialized until the Redistribute stage builds its plans.
+  /// PipelineContext::retained order: the prediction terms PredictCosts
+  /// reads and the ground-truth phase Redistribute charges. No stage
+  /// materializes a message matrix.
   std::vector<RedistCostSummary> costs;
   CandidateMetrics metrics;
   TrafficReport traffic;          ///< Simulated redistribution traffic.

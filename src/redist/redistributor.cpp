@@ -37,6 +37,29 @@ RedistCounters redist_counters() {
   return out;
 }
 
+namespace {
+
+/// Intersecting (sender block, receiver block) pairs along one axis: each
+/// sender block meets the receiver blocks of its overlapping part range,
+/// minus the empty ones inside it. When n >= parts no block is empty, and
+/// when n < parts every block holds at most one item, so the non-empty
+/// receivers of [first, last] number min(last - first + 1, items covered).
+std::int64_t count_axis_pairs(int n, int old_parts, int new_parts) {
+  std::int64_t pairs = 0;
+  for (int s = 0; s < old_parts; ++s) {
+    const Span1D span = block_range(s, n, old_parts);
+    if (span.count == 0) continue;
+    const PartRange r =
+        overlapping_parts(span.begin, span.end(), n, new_parts);
+    const int covered = block_range(r.last, n, new_parts).end() -
+                        block_range(r.first, n, new_parts).begin;
+    pairs += std::min(r.last - r.first + 1, covered);
+  }
+  return pairs;
+}
+
+}  // namespace
+
 std::int64_t count_redist_messages(const NestShape& nest, const Rect& old_rect,
                                    const Rect& new_rect, int grid_px) {
   // The decomposition is a tensor product of independent column and row
@@ -46,23 +69,8 @@ std::int64_t count_redist_messages(const NestShape& nest, const Rect& old_rect,
   // the fill loops would.
   [[maybe_unused]] const BlockDecomposition old_d(nest, old_rect, grid_px);
   [[maybe_unused]] const BlockDecomposition new_d(nest, new_rect, grid_px);
-  std::int64_t col_pairs = 0;
-  for (int i = 0; i < old_rect.w; ++i) {
-    const Span1D span = block_range(i, nest.nx, old_rect.w);
-    if (span.count == 0) continue;
-    const PartRange r =
-        overlapping_parts(span.begin, span.end(), nest.nx, new_rect.w);
-    col_pairs += r.last - r.first + 1;
-  }
-  std::int64_t row_pairs = 0;
-  for (int j = 0; j < old_rect.h; ++j) {
-    const Span1D span = block_range(j, nest.ny, old_rect.h);
-    if (span.count == 0) continue;
-    const PartRange r =
-        overlapping_parts(span.begin, span.end(), nest.ny, new_rect.h);
-    row_pairs += r.last - r.first + 1;
-  }
-  return col_pairs * row_pairs;
+  return count_axis_pairs(nest.nx, old_rect.w, new_rect.w) *
+         count_axis_pairs(nest.ny, old_rect.h, new_rect.h);
 }
 
 RedistPlan plan_redistribution(const NestShape& nest, const Rect& old_rect,
@@ -101,17 +109,15 @@ RedistCostSummary redistribution_cost_dense(const NestShape& nest,
   const Topology* topo = comm != nullptr ? &comm->topology() : nullptr;
   const bool direct = topo != nullptr && topo->is_direct_network();
 
-  // Per-sender serial time for the switched-network §IV-C-1 term: senders
-  // arrive strictly ascending and contiguous from for_each_redist_block, so
-  // a running (sender, sum) pair reproduces RedistTimeModel's per-sender
-  // map — same additions per sender in the same order, folded into the max
-  // in the same ascending-sender order.
-  int current_sender = -1;
-  double sender_sum = 0.0;
-  const auto flush_sender = [&] {
-    s.worst_sender_time = std::max(s.worst_sender_time, sender_sum);
-    sender_sum = 0.0;
-  };
+  // Per-rank serial times, indexed by global rank: the send sums are the
+  // switched-network §IV-C-1 term, and both sides feed the ground-truth
+  // phase time — each rank's terms added in walk (= message) order.
+  thread_local RankTimeSums send_time;
+  thread_local RankTimeSums recv_time;
+  if (comm != nullptr) {
+    send_time.begin(static_cast<std::size_t>(comm->size()));
+    recv_time.begin(static_cast<std::size_t>(comm->size()));
+  }
 
   for_each_redist_block(
       nest, old_rect, new_rect, grid_px,
@@ -130,17 +136,16 @@ RedistCostSummary redistribution_cost_dense(const NestShape& nest,
         s.hop_bytes += bytes * h;
         s.max_hops = std::max(s.max_hops, h);
         const double t = topo->pair_time(h, bytes);
-        if (direct) {
-          s.worst_pair_time = std::max(s.worst_pair_time, t);
-        } else {
-          if (sender != current_sender) {
-            flush_sender();
-            current_sender = sender;
-          }
-          sender_sum += t;
-        }
+        if (direct) s.worst_pair_time = std::max(s.worst_pair_time, t);
+        send_time.add(static_cast<std::size_t>(sender), t);
+        recv_time.add(static_cast<std::size_t>(receiver), t);
       });
-  flush_sender();
+  if (comm != nullptr) {
+    if (!direct) s.worst_sender_time = send_time.max();
+    s.phase_time =
+        comm->alltoallv_time(std::max(send_time.max(), recv_time.max()),
+                             s.hop_bytes, s.total_bytes);
+  }
 
   detail::redist_counter_state().cost_queries.fetch_add(
       1, std::memory_order_relaxed);
@@ -262,18 +267,27 @@ RedistCostSummary redistribution_cost(const NestShape& nest,
       cols.pair_count * rows.pair_count - cols.diag_count * rows.diag_count;
 
   std::int64_t moved_blocks = 0;
+  // Without a moved block every comm-dependent field, phase_time included,
+  // is zero (alltoallv charges an all-local phase nothing).
   if (comm != nullptr && s.num_messages > 0) {
     const Topology* topo = &comm->topology();
+    const Mapping& mapping = comm->mapping();
     const bool direct = topo->is_direct_network();
+    // Per-receiver serial time of the ground-truth phase, indexed by the
+    // receiver's block in the new decomposition.
+    thread_local RankTimeSums recv_time;
+    recv_time.begin(static_cast<std::size_t>(new_rect.area()));
+    double worst_send = 0.0;
     // Only the moved (off-rank) blocks are enumerated, in the dense walk's
     // exact order: sender cells row-major (j outer, i inner), receivers
-    // (rj outer, ri inner) within each sender. Integer sums and float maxes
-    // are order-free, but worst_sender_time on switched networks is a
-    // per-sender float *sum* folded into a max — this order is what keeps
-    // it bit-identical to redistribution_cost_dense(). Sender cells whose
-    // column and row pairs are all diagonal move nothing and are skipped
-    // wholesale (a fully-local sender contributes max(·, 0), which the
-    // initial 0.0 already covers) — the identity-move fast path.
+    // (rj outer, ri inner) within each sender — the materialized plan's
+    // message order. Integer sums and float maxes are order-free, but the
+    // per-sender and per-receiver time sums are float *sums* folded into a
+    // max — this order is what keeps worst_sender_time and phase_time
+    // bit-identical to redistribution_cost_dense() and SimComm::alltoallv.
+    // Sender cells whose column and row pairs are all diagonal move nothing
+    // and are skipped wholesale (a fully-local sender contributes max(·, 0),
+    // which the initial 0.0 already covers) — the identity-move fast path.
     for (const int j : rows.nonempty) {
       const int rb = rows.offsets[static_cast<std::size_t>(j)];
       const int re = rows.offsets[static_cast<std::size_t>(j) + 1];
@@ -282,7 +296,9 @@ RedistCostSummary redistribution_cost(const NestShape& nest,
       for (const int i : col_list) {
         const int cb = cols.offsets[static_cast<std::size_t>(i)];
         const int ce = cols.offsets[static_cast<std::size_t>(i) + 1];
-        const int sender = old_d.rank_at(i, j);
+        // SimComm::hops(sender, receiver), with the sender's node looked
+        // up once per sender instead of once per block.
+        const int sender_node = mapping.node_of_rank(old_d.rank_at(i, j));
         double sender_sum = 0.0;
         for (int rj = rb; rj < re; ++rj) {
           const AxisEntry& row_pair = rows.entries[
@@ -296,20 +312,24 @@ RedistCostSummary redistribution_cost(const NestShape& nest,
                 static_cast<std::int64_t>(col_pair.len) * row_pair.len *
                 bytes_per_point;
             const int receiver = new_d.rank_at(col_pair.r, row_pair.r);
-            const int h = comm->hops(sender, receiver);
+            const int h =
+                topo->hops(sender_node, mapping.node_of_rank(receiver));
             s.hop_bytes += bytes * h;
             s.max_hops = std::max(s.max_hops, h);
             const double t = topo->pair_time(h, bytes);
-            if (direct)
-              s.worst_pair_time = std::max(s.worst_pair_time, t);
-            else
-              sender_sum += t;
+            if (direct) s.worst_pair_time = std::max(s.worst_pair_time, t);
+            sender_sum += t;
+            recv_time.add(static_cast<std::size_t>(row_pair.r) * new_rect.w +
+                              static_cast<std::size_t>(col_pair.r),
+                          t);
           }
         }
-        if (!direct)
-          s.worst_sender_time = std::max(s.worst_sender_time, sender_sum);
+        worst_send = std::max(worst_send, sender_sum);
       }
     }
+    if (!direct) s.worst_sender_time = worst_send;
+    s.phase_time = comm->alltoallv_time(std::max(worst_send, recv_time.max()),
+                                        s.hop_bytes, s.total_bytes);
   }
 
   auto& counters = detail::redist_counter_state();
@@ -330,12 +350,12 @@ RedistMetrics Redistributor::redistribute(const NestShape& nest,
                                           const Rect& old_rect,
                                           const Rect& new_rect,
                                           int grid_px) const {
-  const RedistPlan plan = plan_redistribution(nest, old_rect, new_rect,
-                                              grid_px, bytes_per_point_);
+  const RedistCostSummary cost = redistribution_cost(
+      nest, old_rect, new_rect, grid_px, bytes_per_point_, comm_);
   RedistMetrics m;
-  m.traffic = comm_->alltoallv(plan.messages);
-  m.overlap_fraction = plan.overlap_fraction();
-  m.total_points = plan.total_points;
+  m.traffic = cost.traffic();
+  m.overlap_fraction = cost.overlap_fraction();
+  m.total_points = cost.total_points;
   return m;
 }
 

@@ -12,20 +12,23 @@
 /// (hop-bytes and sender/receiver data-point overlap), and can execute the
 /// exchange with real payloads for end-to-end validation.
 ///
-/// Prediction vs movement: candidate *pricing* at an adaptation point only
-/// needs aggregate costs (§IV-C-1), so the hot path uses the streaming
-/// redistribution_cost() — since the decomposition is a tensor product, it
-/// prices from per-dimension block-pair lists built with an interval index
-/// over the receiver blocks (interval_index.hpp), enumerating only the
-/// *moved* (off-rank) intersections: O(moved blocks · log P) instead of the
-/// dense O(senders × receivers) walk, and O(W + H) for the identity moves
-/// diffusion keeps producing. plan_redistribution() (which allocates the
-/// sparse matrix) is reserved for the commit / redistribute stage, where
-/// the messages actually run on the simulated network. The sparse pricing
-/// visits the surviving intersections in for_each_redist_block's exact
-/// order, so its aggregates are bit-identical to the materialized totals —
-/// property-tested against redistribution_cost_dense(), the retained dense
-/// reference walk.
+/// Prediction vs movement: an adaptation point only needs aggregate costs,
+/// both for the §IV-C-1 *prediction* and for the *ground truth* the
+/// simulated network charges for every candidate's phases. Both come from
+/// the streaming redistribution_cost(): since the decomposition is a tensor
+/// product, it prices from per-dimension block-pair lists built with an
+/// interval index over the receiver blocks (interval_index.hpp), enumerating
+/// only the *moved* (off-rank) intersections: O(moved blocks · log P)
+/// instead of the dense O(senders × receivers) walk, and O(W + H) for the
+/// identity moves diffusion keeps producing. The moved blocks arrive in
+/// for_each_redist_block's exact order, which is also the message order of
+/// plan_redistribution(), so the summary's aggregates — including the
+/// phase time SimComm::alltoallv would charge the materialized plan — are
+/// bit-identical to the materialized totals. No production path builds a
+/// message plan: plan_redistribution() remains as the test oracle (with
+/// redistribution_cost_dense(), the retained dense reference walk) and for
+/// the micro-benches, and redistribute_field() moves real payloads for
+/// end-to-end validation.
 
 #include <atomic>
 #include <cstdint>
@@ -45,14 +48,17 @@ namespace stormtrack {
 inline constexpr int kDefaultBytesPerPoint = 150 * 27 * 4;
 
 /// Process-wide instrumentation of the redistribution machinery. The
-/// counters prove (in tests and the perf-smoke CI gate) that candidate
-/// pricing stays allocation-free: a pipeline apply() must bump cost_queries
-/// during pricing and plans_built / messages_materialized only in the
-/// redistribute stage. Relaxed atomics — counts are observability only and
+/// counters prove (in tests and the perf-smoke CI gate) that the adaptation
+/// path stays allocation-free: a pipeline apply() prices and charges every
+/// phase through cost_queries and never moves plans_built or
+/// messages_materialized — those move only where tests and benches build a
+/// plan on purpose. Relaxed atomics — counts are observability only and
 /// never feed back into results.
 struct RedistCounters {
-  std::int64_t plans_built = 0;             ///< plan_redistribution() calls.
-  std::int64_t messages_materialized = 0;   ///< Message objects pushed.
+  std::int64_t plans_built = 0;             ///< plan_redistribution() calls
+                                            ///< (tests and benches only).
+  std::int64_t messages_materialized = 0;   ///< Message objects pushed by
+                                            ///< those plans.
   std::int64_t message_bytes_materialized = 0;  ///< sizeof(Message) × above.
   std::int64_t cost_queries = 0;            ///< Pricings requested (sparse,
                                             ///< dense, or cache-served).
@@ -121,7 +127,9 @@ void for_each_redist_block(const NestShape& nest, const Rect& old_rect,
 /// Exact number of messages for_each_redist_block will emit, in
 /// O(old_rect.w + old_rect.h): the decomposition is a tensor product, so
 /// the count factors into (intersecting column-block pairs) × (intersecting
-/// row-block pairs). Used to reserve() message vectors before the fill
+/// row-block pairs). Empty receiver blocks — a rectangle with more
+/// processors along an axis than the nest has points — intersect nothing
+/// and are not counted. Used to reserve() message vectors before the fill
 /// loops.
 [[nodiscard]] std::int64_t count_redist_messages(const NestShape& nest,
                                                  const Rect& old_rect,
@@ -157,10 +165,11 @@ struct RedistPlan {
 
 /// Aggregate cost view of one redistribution phase, accumulated by the
 /// streaming redistribution_cost() without materializing messages. The
-/// traffic fields match SimComm::alltoallv's accounting of the same plan
-/// bit-for-bit; worst_pair_time / worst_sender_time are the §IV-C-1
-/// prediction terms (see RedistTimeModel::predict(const RedistCostSummary&))
-/// and are only filled when a communicator is supplied.
+/// traffic fields (traffic()) match SimComm::alltoallv's accounting of the
+/// same plan bit-for-bit; worst_pair_time / worst_sender_time are the
+/// §IV-C-1 prediction terms (see RedistTimeModel::predict(const
+/// RedistCostSummary&)). The hop, time and prediction fields are only
+/// filled when a communicator is supplied.
 struct RedistCostSummary {
   std::int64_t total_points = 0;    ///< Nest points moved (== nest area).
   std::int64_t overlap_points = 0;  ///< Points staying on their rank.
@@ -169,6 +178,9 @@ struct RedistCostSummary {
   std::int64_t local_bytes = 0;     ///< Bytes "moved" rank→itself.
   std::int64_t num_messages = 0;    ///< Off-rank messages in the phase.
   int max_hops = 0;                 ///< Longest route used.
+  /// Ground truth: the phase time the simulated network charges, exactly
+  /// SimComm::alltoallv(plan.messages).modeled_time.
+  double phase_time = 0.0;
   /// §IV-C-1 on direct networks: max over sender/receiver pairs of the
   /// pair time.
   double worst_pair_time = 0.0;
@@ -181,6 +193,13 @@ struct RedistCostSummary {
     if (total_points == 0) return 0.0;
     return static_cast<double>(overlap_points) /
            static_cast<double>(total_points);
+  }
+
+  /// The phase as SimComm::alltoallv would report it for the materialized
+  /// plan.
+  [[nodiscard]] TrafficReport traffic() const {
+    return TrafficReport{phase_time, total_bytes, hop_bytes,
+                         local_bytes, num_messages, max_hops};
   }
 };
 
@@ -195,10 +214,13 @@ struct RedistCostSummary {
 /// field, including the order-dependent worst_sender_time float sum, is
 /// bit-identical to redistribution_cost_dense(). An identity move (the
 /// diffusion strategy's steady state) enumerates nothing: O(W + H) total.
-/// With \p comm bound, also accumulates hop-bytes and prediction terms
-/// against that communicator's topology and mapping; without it the
-/// hop/time fields stay zero. No allocation in steady state (thread-local
-/// scratch reused across queries).
+/// With \p comm bound, also accumulates hop-bytes, the prediction terms and
+/// the ground-truth phase time against that communicator's topology and
+/// mapping: per-sender sums run while a sender's blocks stream past, and
+/// per-receiver sums land in thread-local scratch indexed by receiver
+/// block, cleared in O(receivers touched). Without \p comm the hop/time
+/// fields stay zero. No allocation in steady state (thread-local scratch
+/// reused across queries).
 [[nodiscard]] RedistCostSummary redistribution_cost(
     const NestShape& nest, const Rect& old_rect, const Rect& new_rect,
     int grid_px, int bytes_per_point = kDefaultBytesPerPoint,
@@ -233,7 +255,8 @@ class Redistributor {
                          int bytes_per_point = kDefaultBytesPerPoint,
                          PayloadFaultHook* faults = nullptr);
 
-  /// Plan + price the move of one nest between processor rectangles.
+  /// Price the move of one nest between processor rectangles on the bound
+  /// communicator (streaming; no message plan is built).
   [[nodiscard]] RedistMetrics redistribute(const NestShape& nest,
                                            const Rect& old_rect,
                                            const Rect& new_rect,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 namespace stormtrack {
 
@@ -39,8 +38,12 @@ TrafficReport SimComm::alltoallv(std::span<const Message> msgs) const {
   // machine, where endpoint serialization and link contention are what the
   // paper's measured 10–25% redistribution-time gains come from.
   TrafficReport rep;
-  std::unordered_map<int, double> send_time;
-  std::unordered_map<int, double> recv_time;
+  // Dense per-rank sums, reused across phases on this thread; each rank's
+  // terms are added in message order.
+  thread_local RankTimeSums send_time;
+  thread_local RankTimeSums recv_time;
+  send_time.begin(static_cast<std::size_t>(size()));
+  recv_time.begin(static_cast<std::size_t>(size()));
 
   for (const Message& m : msgs) {
     require_rank(m.src);
@@ -57,21 +60,24 @@ TrafficReport SimComm::alltoallv(std::span<const Message> msgs) const {
     rep.hop_bytes += m.bytes * h;
     rep.num_messages += 1;
     rep.max_hops = std::max(rep.max_hops, h);
-    send_time[m.src] += t;
-    recv_time[m.dst] += t;
+    send_time.add(static_cast<std::size_t>(m.src), t);
+    recv_time.add(static_cast<std::size_t>(m.dst), t);
   }
 
-  double serial = 0.0;
-  for (const auto& [r, t] : send_time) serial = std::max(serial, t);
-  for (const auto& [r, t] : recv_time) serial = std::max(serial, t);
+  rep.modeled_time =
+      alltoallv_time(std::max(send_time.max(), recv_time.max()), rep.hop_bytes,
+                     rep.total_bytes);
+  return rep;
+}
+
+double SimComm::alltoallv_time(double serial, std::int64_t hop_bytes,
+                               std::int64_t total_bytes) const {
   // Contended quantity: on direct networks messages occupy every link they
   // traverse (hop-bytes); on switched fabrics the core carries each byte
   // once regardless of the 2/4-hop switch path.
   const double contended_bytes = static_cast<double>(
-      topo_->is_direct_network() ? rep.hop_bytes : rep.total_bytes);
-  rep.modeled_time =
-      std::max(serial, contended_bytes / topo_->aggregate_capacity());
-  return rep;
+      topo_->is_direct_network() ? hop_bytes : total_bytes);
+  return std::max(serial, contended_bytes / topo_->aggregate_capacity());
 }
 
 TrafficReport SimComm::gatherv(std::span<const std::int64_t> bytes_per_rank,

@@ -67,6 +67,40 @@ struct Message {
   std::int64_t bytes = 0;
 };
 
+/// Per-index time sums of one phase in dense storage, for a single-port
+/// endpoint model: add() lands each index's terms in call order (the same
+/// float sum a map keyed on the index would hold), max() folds the touched
+/// entries. Meant to live in thread-local scratch: begin() clears only the
+/// entries the previous phase touched — O(touched), not O(size) — so a
+/// phase aborted by an exception leaves nothing behind for the next one.
+class RankTimeSums {
+ public:
+  /// Start a phase over indices [0, size).
+  void begin(std::size_t size) {
+    for (const std::size_t i : touched_) sums_[i] = 0.0;
+    touched_.clear();
+    if (sums_.size() < size) sums_.resize(size, 0.0);
+  }
+
+  void add(std::size_t i, double t) {
+    // A zero sum marks an untouched entry; a (degenerate) zero-time term
+    // can only record an index twice, which max() tolerates.
+    if (sums_[i] == 0.0) touched_.push_back(i);
+    sums_[i] += t;
+  }
+
+  /// Largest sum of this phase; 0 when nothing was added.
+  [[nodiscard]] double max() const {
+    double worst = 0.0;
+    for (const std::size_t i : touched_) worst = std::max(worst, sums_[i]);
+    return worst;
+  }
+
+ private:
+  std::vector<double> sums_;
+  std::vector<std::size_t> touched_;
+};
+
 /// Simulated communicator over all ranks of a Mapping.
 class SimComm {
  public:
@@ -86,6 +120,15 @@ class SimComm {
   /// Zero-byte and self messages cost nothing on the network but self
   /// messages are tallied in local_bytes.
   [[nodiscard]] TrafficReport alltoallv(std::span<const Message> msgs) const;
+
+  /// The Alltoallv phase-time formula on its own: max(\p serial, contended
+  /// bytes / aggregate capacity), where \p serial is the largest per-rank
+  /// send or receive sum and the contended bytes are \p hop_bytes on direct
+  /// networks, \p total_bytes on switched ones. alltoallv() and streaming
+  /// callers that accumulate the same sums (redistribution_cost) share it,
+  /// so both charge a phase bit-identically.
+  [[nodiscard]] double alltoallv_time(double serial, std::int64_t hop_bytes,
+                                      std::int64_t total_bytes) const;
 
   /// Price a Gatherv of \p bytes_per_rank[i] bytes from every rank i to
   /// \p root (modelled as the Alltoallv of the corresponding messages).

@@ -1,7 +1,8 @@
 /// Proof-by-counter that the adaptation hot path is allocation-free and
-/// cached: candidate pricing must never materialize a Message vector
-/// (plans are built only in the Redistribute stage), and the exec-model
-/// memo cache must absorb >90% of predictions on the fig12 trace sweep.
+/// cached: neither candidate pricing nor the ground-truth Redistribute
+/// stage may materialize a Message vector (both read the streaming cost
+/// summaries), and the exec-model memo cache must absorb >90% of
+/// predictions on the fig12 trace sweep.
 
 #include <gtest/gtest.h>
 
@@ -36,26 +37,24 @@ TEST(HotPathInstrumentation, PricingMaterializesZeroMessageVectors) {
 
   const std::int64_t expected_pricings =
       r.metrics.get("pipeline.cost_queries").count;
-  const std::int64_t expected_plans =
+  const std::int64_t charged_phases =
       r.metrics.get("pipeline.redist_plans").count;
   ASSERT_GT(expected_pricings, 0);
-  ASSERT_GT(expected_plans, 0);
+  ASSERT_GT(charged_phases, 0);
 
-  // Every candidate×retained-nest pair is priced exactly once (streaming)
-  // and planned exactly once (Redistribute stage). If the pricing stages
-  // still built plans, plans_built would come out 2× expected_plans.
+  // Every candidate×retained-nest pair is priced exactly once (streaming),
+  // and the Redistribute stage charges the same pricing's phase time
+  // instead of planning the move: a whole run builds no plan at all.
   EXPECT_EQ(after.cost_queries - before.cost_queries, expected_pricings);
-  EXPECT_EQ(after.plans_built - before.plans_built, expected_plans);
-  // messages_materialized moves only with plans_built: bytes-per-plan
-  // bookkeeping stays self-consistent.
+  EXPECT_EQ(after.plans_built - before.plans_built, 0);
+  EXPECT_EQ(after.messages_materialized - before.messages_materialized, 0);
   EXPECT_EQ(after.message_bytes_materialized -
                 before.message_bytes_materialized,
-            (after.messages_materialized - before.messages_materialized) *
-                static_cast<std::int64_t>(sizeof(Message)));
+            0);
 }
 
 TEST(HotPathInstrumentation, CostQueriesMatchRedistPlansPerPoint) {
-  // The streaming pricing and the redistribute-stage planning must cover
+  // The streaming pricing and the redistribute-stage charging must cover
   // the same (candidate, retained nest) pairs — same count, by metric.
   const ModelStack models;
   const Machine machine = Machine::bluegene(1024);

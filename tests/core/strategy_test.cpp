@@ -213,5 +213,46 @@ TEST(StrategyGolden, PipelineMatchesPreRefactorEnumPaths) {
   }
 }
 
+// The goldens above run on BG/L's torus only. These pin the hierarchical
+// interconnects, captured from the build that still charged materialized
+// message plans through SimComm::alltoallv: a dragonfly (modeled as a
+// direct network, but with a four-rung hop ladder) and a fat-tree, a
+// switched network, where the phase time charges total bytes rather than
+// hop-bytes and the per-rank send/receive sums decide far more phases.
+TEST(StrategyGolden, HierarchicalNetworksMatchCapturedValues) {
+  struct Case {
+    const char* machine;
+    bool direct;
+    double total_exec;
+    double total_redist;
+    std::int64_t total_hop_bytes;
+    int diffusion_picks;
+    std::uint64_t allocation_fingerprint;
+  };
+  constexpr Case kCases[] = {
+      {"dragonfly", true, 28.667723769037348, 0.32363657929687506,
+       216453027600, 6, 0x7e5528e35752aa3bull},
+      {"fattree", false, 28.800626633585843, 0.36942819999999998,
+       231995923200, 8, 0xf947d9e9a87a4cc6ull},
+  };
+  const ModelStack models;
+  SyntheticTraceConfig cfg;
+  cfg.num_events = 12;
+  cfg.seed = 0xf125;
+  const Trace fig12 = generate_synthetic_trace(cfg);
+  for (const Case& g : kCases) {
+    SCOPED_TRACE(g.machine);
+    const Machine machine = Machine::by_name(g.machine, 1024);
+    ASSERT_EQ(machine.comm().topology().is_direct_network(), g.direct);
+    const TraceRunResult r =
+        run_trace(machine, models.model, models.truth, "dynamic", fig12);
+    EXPECT_EQ(r.total_exec(), g.total_exec);
+    EXPECT_EQ(r.total_redist(), g.total_redist);
+    EXPECT_EQ(r.total_hop_bytes(), g.total_hop_bytes);
+    EXPECT_EQ(r.diffusion_picks(), g.diffusion_picks);
+    EXPECT_EQ(allocation_fingerprint(r), g.allocation_fingerprint);
+  }
+}
+
 }  // namespace
 }  // namespace stormtrack

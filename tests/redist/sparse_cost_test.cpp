@@ -63,6 +63,7 @@ void expect_matches_dense(const NestShape& nest, const Rect& a, const Rect& b,
   // worst_sender_time float accumulation agrees exactly.
   EXPECT_EQ(sparse.worst_pair_time, dense.worst_pair_time);
   EXPECT_EQ(sparse.worst_sender_time, dense.worst_sender_time);
+  EXPECT_EQ(sparse.phase_time, dense.phase_time);
   EXPECT_EQ(sparse.overlap_fraction(), dense.overlap_fraction());
 }
 

@@ -1,13 +1,17 @@
 /// Randomized equivalence: the streaming cost aggregator
 /// (redistribution_cost) must match the materialized plan
 /// (plan_redistribution + SimComm::alltoallv accounting + the message-list
-/// RedistTimeModel overload) bit-for-bit on every aggregate — that is the
-/// whole contract that lets the pipeline price candidates without
-/// allocating message vectors.
+/// RedistTimeModel overload) bit-for-bit on every aggregate, the
+/// ground-truth phase time included — that is the whole contract that lets
+/// the pipeline price and charge candidates without allocating message
+/// vectors.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -83,6 +87,22 @@ void expect_summary_matches(const NestShape& nest, const Rect& a,
   EXPECT_EQ(sum.local_bytes, traffic.local_bytes);
   EXPECT_EQ(sum.num_messages, traffic.num_messages);
   EXPECT_EQ(sum.max_hops, traffic.max_hops);
+  // The ground-truth phase, bit-for-bit: per-sender and per-receiver sums
+  // accumulate in the plan's message order.
+  EXPECT_EQ(sum.phase_time, traffic.modeled_time);
+  const TrafficReport streamed = sum.traffic();
+  EXPECT_EQ(streamed.modeled_time, traffic.modeled_time);
+  EXPECT_EQ(streamed.total_bytes, traffic.total_bytes);
+  EXPECT_EQ(streamed.hop_bytes, traffic.hop_bytes);
+  EXPECT_EQ(streamed.local_bytes, traffic.local_bytes);
+  EXPECT_EQ(streamed.num_messages, traffic.num_messages);
+  EXPECT_EQ(streamed.max_hops, traffic.max_hops);
+  // The dense reference walk charges the same phase.
+  const RedistCostSummary dense =
+      redistribution_cost_dense(nest, a, b, grid_px, bpp, &comm);
+  EXPECT_EQ(dense.phase_time, traffic.modeled_time);
+  EXPECT_EQ(dense.worst_sender_time, sum.worst_sender_time);
+  EXPECT_EQ(dense.worst_pair_time, sum.worst_pair_time);
   // The two predict overloads must agree bit-for-bit (EXPECT_EQ, not
   // NEAR): the streaming path accumulates in the message-list order.
   EXPECT_EQ(model.predict(sum), model.predict(plan.messages));
@@ -129,6 +149,65 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamCostSweep,
                          ::testing::Values(0x5eedULL, 0xabcdefULL,
                                            0x1234567ULL, 0xfeedbeefULL));
 
+/// All four interconnect models at 1024 and 16384 ranks. Besides random
+/// moves (nests from 20 to 800 points a side, so rectangles wider than
+/// their nest occur), every trial also checks an identity move and a
+/// one-column shift of the old rectangle — the diffusion steady state and
+/// its most common perturbation.
+class StreamCostTopologySweep
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+
+TEST_P(StreamCostTopologySweep, PhaseTimeMatchesMaterializedAlltoallv) {
+  const auto [topo, ranks] = GetParam();
+  const Machine machine = Machine::by_name(topo, ranks);
+  const RedistTimeModel model(machine.comm());
+  const int px = machine.grid_px();
+  const int py = machine.grid_py();
+  Xoshiro256 rng(0x9a5eULL ^ static_cast<std::uint64_t>(ranks) ^
+                 std::hash<std::string>{}(topo));
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const NestShape nest{static_cast<int>(rng.uniform_int(20, 800)),
+                         static_cast<int>(rng.uniform_int(20, 800))};
+    const Rect a = random_rect_maybe_degenerate(rng, px, py, trial);
+    const Rect b = random_rect_maybe_degenerate(rng, px, py, trial + 1);
+    expect_summary_matches(nest, a, b, px, kDefaultBytesPerPoint,
+                           machine.comm(), model);
+    expect_summary_matches(nest, a, a, px, kDefaultBytesPerPoint,
+                           machine.comm(), model);
+    const Rect shifted{a.x_end() < px ? a.x + 1 : a.x - 1, a.y, a.w, a.h};
+    if (shifted.x >= 0)
+      expect_summary_matches(nest, a, shifted, px, kDefaultBytesPerPoint,
+                             machine.comm(), model);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, StreamCostTopologySweep,
+    ::testing::Combine(::testing::Values("bgl", "fist", "fattree",
+                                         "dragonfly"),
+                       ::testing::Values(1024, 16384)),
+    [](const ::testing::TestParamInfo<std::tuple<const char*, int>>& p) {
+      return std::string(std::get<0>(p.param)) + "_" +
+             std::to_string(std::get<1>(p.param));
+    });
+
+TEST(StreamCost, MessageCountSkipsEmptyReceiverBlocks) {
+  // A receiver rectangle with more processors along an axis than the nest
+  // has points leaves some receiver blocks empty. A narrow sender's block
+  // covers several points, so its overlapping part range spans those empty
+  // blocks too; no message goes there, so the exact count must skip them.
+  const int grid_px = 128;
+  const NestShape nest{20, 30};
+  const Rect a{0, 0, 4, 6};
+  const Rect b{10, 5, 100, 90};
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    const RedistPlan plan = plan_redistribution(nest, from, to, grid_px, 8);
+    EXPECT_EQ(count_redist_messages(nest, from, to, grid_px),
+              static_cast<std::int64_t>(plan.messages.size()));
+  }
+}
+
 TEST(StreamCost, WithoutCommOnlyTrafficAggregates) {
   const NestShape nest{100, 80};
   const Rect a{0, 0, 4, 4};
@@ -144,6 +223,7 @@ TEST(StreamCost, WithoutCommOnlyTrafficAggregates) {
   EXPECT_EQ(sum.max_hops, 0);
   EXPECT_EQ(sum.worst_pair_time, 0.0);
   EXPECT_EQ(sum.worst_sender_time, 0.0);
+  EXPECT_EQ(sum.phase_time, 0.0);
 }
 
 TEST(StreamCost, IdentityMoveIsAllLocal) {
