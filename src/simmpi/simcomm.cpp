@@ -1,6 +1,7 @@
 #include "simmpi/simcomm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 namespace stormtrack {
@@ -15,8 +16,17 @@ TrafficReport& TrafficReport::operator+=(const TrafficReport& o) {
   return *this;
 }
 
+namespace {
+
+std::uint64_t next_comm_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 SimComm::SimComm(const Topology& topo, const Mapping& mapping)
-    : topo_(&topo), mapping_(&mapping) {
+    : topo_(&topo), mapping_(&mapping), id_(next_comm_id()) {
   ST_CHECK_MSG(mapping.num_ranks() <= topo.num_nodes(),
                "mapping places " << mapping.num_ranks() << " ranks on "
                                  << topo.num_nodes() << " nodes");

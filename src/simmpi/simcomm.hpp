@@ -111,6 +111,11 @@ class SimComm {
   [[nodiscard]] const Topology& topology() const { return *topo_; }
   [[nodiscard]] const Mapping& mapping() const { return *mapping_; }
 
+  /// Process-unique identity of this communicator (never 0, never reused
+  /// by a later one): keys caches of per-rank data derived from the bound
+  /// topology and mapping, which never change.
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+
   /// Hop distance between two ranks under the bound mapping.
   [[nodiscard]] int hops(int rank_a, int rank_b) const {
     return mapping_->rank_hops(*topo_, rank_a, rank_b);
@@ -147,6 +152,7 @@ class SimComm {
 
   const Topology* topo_;
   const Mapping* mapping_;
+  std::uint64_t id_;
 };
 
 /// Hook consulted once per message in exchange_payloads, after pricing

@@ -1,6 +1,5 @@
 #include "topo/topology.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 namespace stormtrack {
@@ -14,16 +13,6 @@ Torus3D::Torus3D(int dx, int dy, int dz, LinkParams link)
                                                << dz);
 }
 
-int Torus3D::ring_distance(int a, int b, int dim) {
-  const int d = std::abs(a - b);
-  return std::min(d, dim - d);
-}
-
-Coord3 Torus3D::coord(int n) const {
-  require_node(n);
-  return Coord3{n % dx_, (n / dx_) % dy_, n / (dx_ * dy_)};
-}
-
 int Torus3D::node(const Coord3& c) const {
   ST_CHECK_MSG(c.x >= 0 && c.x < dx_ && c.y >= 0 && c.y < dy_ && c.z >= 0 &&
                    c.z < dz_,
@@ -33,10 +22,7 @@ int Torus3D::node(const Coord3& c) const {
 }
 
 int Torus3D::hops(int node_a, int node_b) const {
-  const Coord3 a = coord(node_a);
-  const Coord3 b = coord(node_b);
-  return ring_distance(a.x, b.x, dx_) + ring_distance(a.y, b.y, dy_) +
-         ring_distance(a.z, b.z, dz_);
+  return hops(coord(node_a), coord(node_b));
 }
 
 std::string Torus3D::name() const {
@@ -56,9 +42,7 @@ Mesh2D::Mesh2D(int dx, int dy, LinkParams link)
 int Mesh2D::hops(int node_a, int node_b) const {
   require_node(node_a);
   require_node(node_b);
-  const int ax = node_a % dx_, ay = node_a / dx_;
-  const int bx = node_b % dx_, by = node_b / dx_;
-  return std::abs(ax - bx) + std::abs(ay - by);
+  return hops(key(node_a), key(node_b));
 }
 
 std::string Mesh2D::name() const {
@@ -79,9 +63,7 @@ SwitchedNetwork::SwitchedNetwork(int nodes, int nodes_per_switch,
 int SwitchedNetwork::hops(int node_a, int node_b) const {
   require_node(node_a);
   require_node(node_b);
-  if (node_a == node_b) return 0;
-  if (node_a / per_switch_ == node_b / per_switch_) return 2;
-  return 4;
+  return hops(key(node_a), key(node_b));
 }
 
 std::string SwitchedNetwork::name() const {
@@ -109,10 +91,7 @@ Dragonfly::Dragonfly(int groups, int routers_per_group, int nodes_per_router,
 int Dragonfly::hops(int node_a, int node_b) const {
   require_node(node_a);
   require_node(node_b);
-  if (node_a == node_b) return 0;
-  if (node_a / nodes_per_router_ == node_b / nodes_per_router_) return 2;
-  if (node_a / group_size() == node_b / group_size()) return 4;
-  return 6;
+  return hops(key(node_a), key(node_b));
 }
 
 std::string Dragonfly::name() const {
@@ -141,10 +120,7 @@ FatTree::FatTree(int nodes, int nodes_per_leaf, int leaves_per_pod,
 int FatTree::hops(int node_a, int node_b) const {
   require_node(node_a);
   require_node(node_b);
-  if (node_a == node_b) return 0;
-  if (node_a / per_leaf_ == node_b / per_leaf_) return 2;
-  if (node_a / pod_size() == node_b / pod_size()) return 4;
-  return 6;
+  return hops(key(node_a), key(node_b));
 }
 
 std::string FatTree::name() const {
