@@ -614,13 +614,23 @@ CoupledCheckpointer::CoupledCheckpointer(CheckpointPolicy policy,
   policy_.validate();
 }
 
+CoupledCheckpointer::~CoupledCheckpointer() {
+  if (writer_.joinable()) writer_.join();
+}
+
 void CoupledCheckpointer::on_interval(CoupledSimulation& sim, int interval) {
-  if (policy_.due(interval)) checkpoint_now(sim);
+  if (policy_.due(interval)) hand_off(sim);
 }
 
 std::uint64_t CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
+  hand_off(sim);
+  collect();
+  return last_fingerprint_;
+}
+
+void CoupledCheckpointer::hand_off(CoupledSimulation& sim) {
   const std::int64_t step = sim.interval();  // intervals completed
-  if (step == last_step_) return last_fingerprint_;  // double-write guard
+  if (step == last_step_) return;  // double-write guard
   // Bump *before* exporting: the registry inside checkpoint k then already
   // counts write k, so a run resumed from it finishes with the same
   // ckpt.writes total as the uninterrupted run.
@@ -636,13 +646,44 @@ std::uint64_t CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
     ckpt.has_injector = true;
     ckpt.injector = injector->export_state();
   }
-  bytes_written_ +=
-      static_cast<std::int64_t>(save_checkpoint(policy_.dir, ckpt));
+  std::vector<std::byte> frame = encode_checkpoint(ckpt);
+  // Checkpoint k must be on disk before k+1 is handed over. Collecting
+  // after the encode gives the previous write that much longer to finish.
+  collect();
+  bytes_written_ += static_cast<std::int64_t>(frame.size());
   ++writes_;
   last_step_ = step;
   last_fingerprint_ = ckpt.state_fingerprint;
-  pruned_ += prune_checkpoints(policy_.dir, policy_.keep);
-  return last_fingerprint_;
+  pending_.file = checkpoint_file_path(policy_.dir, step);
+  pending_.frame = std::move(frame);
+  // One thread per write, so an idle checkpointer holds none.
+  try {
+    writer_ = std::thread([this] { write_pending(); });
+  } catch (const std::system_error&) {
+    write_pending();  // no thread to be had: write on this one
+  }
+}
+
+void CoupledCheckpointer::write_pending() {
+  try {
+    write_file_atomic(pending_.file, pending_.frame);
+    std::vector<std::byte>().swap(pending_.frame);
+    pending_.pruned = prune_checkpoints(policy_.dir, policy_.keep);
+  } catch (const std::exception& e) {
+    pending_.error = std::make_exception_ptr(
+        CheckError("checkpoint " + pending_.file.filename().string() +
+                   " was not written: " + e.what()));
+  }
+}
+
+void CoupledCheckpointer::collect() {
+  if (writer_.joinable()) writer_.join();
+  pruned_ += std::exchange(pending_.pruned, 0);
+  if (pending_.error != nullptr) {
+    // The step no longer counts as written, so checkpoint_now retries it.
+    last_step_ = -1;
+    std::rethrow_exception(std::exchange(pending_.error, nullptr));
+  }
 }
 
 ResumeReport resume_coupled(CoupledSimulation& sim,

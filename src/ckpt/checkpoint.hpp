@@ -34,10 +34,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint_hook.hpp"
@@ -158,28 +160,50 @@ int prune_checkpoints(const std::filesystem::path& dir, int keep);
 /// is bumped in the simulation's registry *before* the state is serialized,
 /// so the count inside checkpoint k already includes write k and a resumed
 /// run's metrics totals equal the uninterrupted run's.
+///
+/// Writes go behind the simulation. The calling thread fingerprints,
+/// exports and encodes the frame; a thread of this checkpointer then runs
+/// write_file_atomic and prune_checkpoints while the next interval
+/// computes. At most one write is in flight: checkpoint k is durable
+/// before k+1 is handed over, before checkpoint_now() returns, and before
+/// the destructor returns. A failed write is rethrown, naming its file,
+/// from the next checkpoint (a due on_interval() or checkpoint_now()).
+/// The destructor drains but cannot throw; a failure it collects is lost
+/// with the checkpoint, exactly as a crash during that write would lose it.
 class CoupledCheckpointer final : public CheckpointHook {
  public:
   /// Validates the policy. \p config_fingerprint should come from
   /// coupled_config_fingerprint() on the same machine + config.
   CoupledCheckpointer(CheckpointPolicy policy,
                       std::uint64_t config_fingerprint);
+  ~CoupledCheckpointer() override;
 
   void on_interval(CoupledSimulation& sim, int interval) override;
 
-  /// Unconditional checkpoint of the current state (idempotent per step):
-  /// runners call this once after the loop so the final state is always
-  /// captured even when the cadence does not divide the interval count.
-  /// Returns the state fingerprint recorded in the checkpoint; when this
-  /// step was already written, the one recorded then, since the state has
-  /// not changed since.
+  /// Unconditional checkpoint of the current state (idempotent per step),
+  /// durable on return: runners call this once after the loop so the final
+  /// state is always on disk even when the cadence does not divide the
+  /// interval count. Returns the state fingerprint recorded in the
+  /// checkpoint; when this step was already handed over, the one recorded
+  /// then, since the state has not changed since.
   std::uint64_t checkpoint_now(CoupledSimulation& sim);
 
+  /// Checkpoints handed to the writer and their encoded bytes.
   [[nodiscard]] std::int64_t bytes_written() const { return bytes_written_; }
   [[nodiscard]] int writes() const { return writes_; }
+  /// Files pruned by the writes collected so far.
   [[nodiscard]] int pruned() const { return pruned_; }
 
  private:
+  /// Encode the current state and hand it to the writer (after collecting
+  /// the previous write).
+  void hand_off(CoupledSimulation& sim);
+  /// Body of the writer thread: write and prune pending_, record the
+  /// outcome in it.
+  void write_pending();
+  /// Wait for the write in flight, if any; rethrows its failure.
+  void collect();
+
   CheckpointPolicy policy_;
   std::uint64_t config_fp_;
   std::int64_t last_step_ = -1;
@@ -187,6 +211,17 @@ class CoupledCheckpointer final : public CheckpointHook {
   std::int64_t bytes_written_ = 0;
   int writes_ = 0;
   int pruned_ = 0;
+
+  /// The write handed over last. The writer thread owns it while writer_
+  /// is joinable; it touches nothing else but the filesystem.
+  struct PendingWrite {
+    std::filesystem::path file;
+    std::vector<std::byte> frame;  ///< Released once written.
+    int pruned = 0;
+    std::exception_ptr error;
+  };
+  PendingWrite pending_;
+  std::thread writer_;
 };
 
 /// Outcome of a resume attempt.

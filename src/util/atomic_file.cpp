@@ -1,6 +1,7 @@
 #include "util/atomic_file.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <system_error>
@@ -40,34 +41,32 @@ std::atomic<std::uint64_t> g_files_written{0};
 std::atomic<std::uint64_t> g_file_syncs{0};
 std::atomic<std::uint64_t> g_dir_syncs{0};
 
-/// fsync an open file by path (no-op on platforms without fsync).
+/// fsync a file or directory by path (no-op on platforms without fsync).
+/// A failed file sync throws: the data may not be on the device, so the
+/// write must fail, injected or real. Directory syncs only strengthen the
+/// rename's durability ordering, and some filesystems refuse to open or
+/// sync directories; the rename is still atomic, so their failures are
+/// not worth failing the write over.
 void sync_path(const std::filesystem::path& path, bool directory) {
   const FsFaultDecision fault = fs_fault_decide("fsync", path);
-  if (fault.fail) {
-    // Directory syncs only strengthen durability ordering; a file sync
-    // failure means the data may not be on the device — that must fail
-    // the write, exactly as the un-injected contract promises.
-    if (directory) return;
-    ST_CHECK_MSG(false, "fsync of " << path << " failed: "
-                                    << std::strerror(fault.error_no)
-                                    << " (injected fault)");
-  }
+  int error_no = fault.fail ? fault.error_no : 0;
 #if STORMTRACK_HAVE_FSYNC
-  const int flags = directory ? O_RDONLY | O_DIRECTORY : O_RDONLY;
-  const int fd = ::open(path.c_str(), flags);
-  // Some filesystems refuse to open or sync directories; the rename is
-  // still atomic, only its durability ordering is weakened — not worth
-  // failing the write over.
-  if (fd < 0) return;
-  if (::fsync(fd) == 0) {
-    (directory ? g_dir_syncs : g_file_syncs)
-        .fetch_add(1, std::memory_order_relaxed);
+  if (!fault.fail) {
+    const int fd =
+        ::open(path.c_str(), directory ? O_RDONLY | O_DIRECTORY : O_RDONLY);
+    if (fd < 0 || ::fsync(fd) != 0) {
+      error_no = errno;
+    } else {
+      (directory ? g_dir_syncs : g_file_syncs)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    if (fd >= 0) ::close(fd);
   }
-  ::close(fd);
-#else
-  (void)path;
-  (void)directory;
 #endif
+  if (error_no == 0 || directory) return;
+  ST_CHECK_MSG(false, "fsync of " << path << " failed: "
+                                  << std::strerror(error_no)
+                                  << (fault.fail ? " (injected fault)" : ""));
 }
 
 }  // namespace
