@@ -19,6 +19,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/trace_run.hpp"
@@ -229,6 +230,41 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
+/// Without --resume an already-populated checkpoint directory is refused
+/// rather than silently resumed (or clobbered). True when refused; the
+/// reason is printed.
+bool refuse_populated_checkpoint_dir(const Options& opt,
+                                     const std::filesystem::path& dir) {
+  if (opt.resume || !latest_valid_checkpoint(dir).has_value()) return false;
+  std::cerr << "checkpoint dir " << dir
+            << " already holds checkpoints; pass --resume to continue "
+               "that run or point --checkpoint-dir elsewhere\n";
+  return true;
+}
+
+/// The --checkpoint-* options as a policy.
+CheckpointPolicy checkpoint_policy(const Options& opt) {
+  CheckpointPolicy policy;
+  policy.dir = *opt.checkpoint_dir;
+  policy.every = opt.checkpoint_every;
+  policy.keep = opt.checkpoint_keep;
+  return policy;
+}
+
+/// "resumed from <file> at <unit> <step>" when the run resumed.
+void print_resume_banner(const Options& opt, const ResumeReport& report,
+                         std::string_view unit) {
+  if (!report.resumed) return;
+  std::cout << (opt.csv ? "# " : "") << "resumed from "
+            << report.path.filename().string() << " at " << unit << " "
+            << report.step
+            << (report.invalid_skipped > 0
+                    ? " (" + std::to_string(report.invalid_skipped) +
+                          " invalid checkpoint(s) skipped)"
+                    : "")
+            << "\n";
+}
+
 /// --workload mode: drive the full CoupledSimulation (weather + PDA +
 /// reallocation + nest payloads) instead of a bare pipeline trace. The
 /// totals and fingerprint printed at the end come from checkpoint-covered
@@ -265,18 +301,10 @@ int run_coupled(Machine& machine, const Options& opt) {
   const std::uint64_t config_fp = coupled_config_fingerprint(machine, cfg);
   std::optional<CoupledCheckpointer> checkpointer;
   if (opt.checkpoint_dir) {
-    const std::filesystem::path dir(*opt.checkpoint_dir);
-    if (!opt.resume && latest_valid_checkpoint(dir).has_value()) {
-      std::cerr << "checkpoint dir " << dir
-                << " already holds checkpoints; pass --resume to continue "
-                   "that run or point --checkpoint-dir elsewhere\n";
+    if (refuse_populated_checkpoint_dir(
+            opt, std::filesystem::path(*opt.checkpoint_dir)))
       return kExitBadArgs;
-    }
-    CheckpointPolicy policy;
-    policy.dir = dir;
-    policy.every = opt.checkpoint_every;
-    policy.keep = opt.checkpoint_keep;
-    checkpointer.emplace(policy, config_fp);
+    checkpointer.emplace(checkpoint_policy(opt), config_fp);
     cfg.hook = &*checkpointer;
   }
 
@@ -286,16 +314,7 @@ int run_coupled(Machine& machine, const Options& opt) {
     if (opt.resume)
       resume_report = resume_coupled(
           sim, std::filesystem::path(*opt.checkpoint_dir), config_fp);
-    if (resume_report.resumed)
-      std::cout << (opt.csv ? "# " : "") << "resumed from "
-                << resume_report.path.filename().string() << " at interval "
-                << resume_report.step
-                << (resume_report.invalid_skipped > 0
-                        ? " (" +
-                              std::to_string(resume_report.invalid_skipped) +
-                              " invalid checkpoint(s) skipped)"
-                        : "")
-                << "\n";
+    print_resume_banner(opt, resume_report, "interval");
 
     Table t({"Interval", "ROIs", "+ins/-del/=ret", "Chosen", "Exec (s)",
              "Redist (ms)", "Moved B", "Neighbour B"});
@@ -511,22 +530,12 @@ int main(int argc, char** argv) {
   ResumeReport resume_report;
   try {
     if (opt.checkpoint_dir) {
-      const std::filesystem::path dir(*opt.checkpoint_dir);
-      // Without --resume an already-populated checkpoint directory is
-      // refused rather than silently resumed (or clobbered).
-      if (!opt.resume && latest_valid_checkpoint(dir).has_value()) {
-        std::cerr << "checkpoint dir " << dir
-                  << " already holds checkpoints; pass --resume to continue "
-                     "that run or point --checkpoint-dir elsewhere\n";
+      if (refuse_populated_checkpoint_dir(
+              opt, std::filesystem::path(*opt.checkpoint_dir)))
         return kExitBadArgs;
-      }
-      CheckpointPolicy policy;
-      policy.dir = dir;
-      policy.every = opt.checkpoint_every;
-      policy.keep = opt.checkpoint_keep;
       r = run_trace_checkpointed(machine, models.model, models.truth,
-                                 opt.strategy, trace, config, policy,
-                                 &resume_report);
+                                 opt.strategy, trace, config,
+                                 checkpoint_policy(opt), &resume_report);
     } else {
       r = run_trace(machine, models.model, models.truth, opt.strategy, trace,
                     config);
@@ -544,15 +553,7 @@ int main(int argc, char** argv) {
     std::cerr << "run failed: " << e.what() << "\n";
     return kExitRuntime;
   }
-  if (resume_report.resumed)
-    std::cout << (opt.csv ? "# " : "") << "resumed from "
-              << resume_report.path.filename().string() << " at point "
-              << resume_report.step
-              << (resume_report.invalid_skipped > 0
-                      ? " (" + std::to_string(resume_report.invalid_skipped) +
-                            " invalid checkpoint(s) skipped)"
-                      : "")
-              << "\n";
+  print_resume_banner(opt, resume_report, "point");
 
   Table t({"Event", "Nests", "+ins/-del/=ret", "Chosen", "Exec (s)",
            "Redist (ms)", "Hop-bytes avg", "Overlap %"});

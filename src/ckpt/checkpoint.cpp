@@ -11,6 +11,7 @@
 #include "ckpt/crc32.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
+#include "fault/snapshot.hpp"
 #include "util/fnv.hpp"
 
 namespace stormtrack {
@@ -557,14 +558,6 @@ list_checkpoints(const std::filesystem::path& dir) {
 
 }  // namespace
 
-std::size_t save_checkpoint(const std::filesystem::path& dir,
-                            const RunCheckpoint& ckpt) {
-  const std::vector<std::byte> bytes = encode_checkpoint(ckpt);
-  write_file_atomic(checkpoint_file_path(dir, ckpt.step),
-                    std::span<const std::byte>(bytes));
-  return bytes.size();
-}
-
 RunCheckpoint load_checkpoint(const std::filesystem::path& file) {
   return decode_checkpoint(read_file_bytes(file));
 }
@@ -595,54 +588,47 @@ std::optional<LatestCheckpoint> latest_valid_checkpoint(
   return std::nullopt;
 }
 
-int prune_checkpoints(const std::filesystem::path& dir, int keep) {
+int prune_checkpoints(const std::filesystem::path& dir, int keep,
+                      std::int64_t newest) {
   if (keep <= 0) return 0;
-  const auto files = list_checkpoints(dir);
+  int kept = 0;
   int removed = 0;
-  for (std::size_t i = static_cast<std::size_t>(keep); i < files.size(); ++i) {
+  for (const auto& [step, path] : list_checkpoints(dir)) {
+    if (step > newest || ++kept <= keep) continue;
     std::error_code ec;
-    if (std::filesystem::remove(files[i].second, ec)) ++removed;
+    if (std::filesystem::remove(path, ec)) ++removed;
   }
   return removed;
 }
 
-// ------------------------------------------------------ CoupledCheckpointer
+// --------------------------------------------------------- CheckpointWriter
 
-CoupledCheckpointer::CoupledCheckpointer(CheckpointPolicy policy,
-                                         std::uint64_t config_fingerprint)
-    : policy_(std::move(policy)), config_fp_(config_fingerprint) {
+CheckpointWriter::CheckpointWriter(CheckpointPolicy policy,
+                                   std::uint64_t config_fingerprint,
+                                   std::int64_t written_step)
+    : policy_(std::move(policy)),
+      config_fp_(config_fingerprint),
+      last_step_(written_step) {
   policy_.validate();
 }
 
-CoupledCheckpointer::~CoupledCheckpointer() {
-  if (writer_.joinable()) writer_.join();
+CheckpointWriter::~CheckpointWriter() {
+  if (thread_.joinable()) thread_.join();
 }
 
-void CoupledCheckpointer::on_interval(CoupledSimulation& sim, int interval) {
-  if (policy_.due(interval)) hand_off(sim);
-}
-
-std::uint64_t CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
-  hand_off(sim);
-  collect();
-  return last_fingerprint_;
-}
-
-void CoupledCheckpointer::hand_off(CoupledSimulation& sim) {
-  const std::int64_t step = sim.interval();  // intervals completed
+void CheckpointWriter::write(
+    std::int64_t step, MetricsRegistry& metrics, const FaultInjector* injector,
+    const std::function<void(RunCheckpoint&)>& capture) {
   if (step == last_step_) return;  // double-write guard
-  // Bump *before* exporting: the registry inside checkpoint k then already
+  // Bump *before* capturing: the registry inside checkpoint k then already
   // counts write k, so a run resumed from it finishes with the same
   // ckpt.writes total as the uninterrupted run.
-  sim.metrics().add_count("ckpt.writes");
+  metrics.add_count("ckpt.writes");
   RunCheckpoint ckpt;
-  ckpt.kind = CheckpointKind::kCoupledRun;
   ckpt.config_fingerprint = config_fp_;
   ckpt.step = step;
-  ckpt.state_fingerprint = sim.state_fingerprint();
-  ckpt.coupled = sim.export_state();
-  if (const FaultInjector* injector = sim.config().manager.injector;
-      injector != nullptr) {
+  capture(ckpt);
+  if (injector != nullptr) {
     ckpt.has_injector = true;
     ckpt.injector = injector->export_state();
   }
@@ -654,21 +640,23 @@ void CoupledCheckpointer::hand_off(CoupledSimulation& sim) {
   ++writes_;
   last_step_ = step;
   last_fingerprint_ = ckpt.state_fingerprint;
+  pending_.step = step;
   pending_.file = checkpoint_file_path(policy_.dir, step);
   pending_.frame = std::move(frame);
-  // One thread per write, so an idle checkpointer holds none.
+  // One thread per write, so an idle writer holds none.
   try {
-    writer_ = std::thread([this] { write_pending(); });
+    thread_ = std::thread([this] { write_pending(); });
   } catch (const std::system_error&) {
     write_pending();  // no thread to be had: write on this one
   }
 }
 
-void CoupledCheckpointer::write_pending() {
+void CheckpointWriter::write_pending() {
   try {
     write_file_atomic(pending_.file, pending_.frame);
     std::vector<std::byte>().swap(pending_.frame);
-    pending_.pruned = prune_checkpoints(policy_.dir, policy_.keep);
+    pending_.pruned =
+        prune_checkpoints(policy_.dir, policy_.keep, pending_.step);
   } catch (const std::exception& e) {
     pending_.error = std::make_exception_ptr(
         CheckError("checkpoint " + pending_.file.filename().string() +
@@ -676,49 +664,127 @@ void CoupledCheckpointer::write_pending() {
   }
 }
 
-void CoupledCheckpointer::collect() {
-  if (writer_.joinable()) writer_.join();
+void CheckpointWriter::collect() {
+  if (thread_.joinable()) thread_.join();
   pruned_ += std::exchange(pending_.pruned, 0);
   if (pending_.error != nullptr) {
-    // The step no longer counts as written, so checkpoint_now retries it.
+    // The step no longer counts as written, so it can be written again.
     last_step_ = -1;
     std::rethrow_exception(std::exchange(pending_.error, nullptr));
   }
 }
 
-ResumeReport resume_coupled(CoupledSimulation& sim,
-                            const std::filesystem::path& dir,
-                            std::uint64_t config_fingerprint) {
+// ------------------------------------------------------ CoupledCheckpointer
+
+CoupledCheckpointer::CoupledCheckpointer(CheckpointPolicy policy,
+                                         std::uint64_t config_fingerprint)
+    : writer_(std::move(policy), config_fingerprint) {}
+
+void CoupledCheckpointer::on_interval(CoupledSimulation& sim, int interval) {
+  if (writer_.policy().due(interval)) write(sim);
+}
+
+std::uint64_t CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
+  write(sim);
+  writer_.collect();
+  return writer_.last_fingerprint();
+}
+
+void CoupledCheckpointer::write(CoupledSimulation& sim) {
+  writer_.write(sim.interval(), sim.metrics(), sim.config().manager.injector,
+                [&sim](RunCheckpoint& ckpt) {
+                  ckpt.kind = CheckpointKind::kCoupledRun;
+                  ckpt.state_fingerprint = sim.state_fingerprint();
+                  ckpt.coupled = sim.export_state();
+                });
+}
+
+ResumeReport resume_run(
+    const std::filesystem::path& dir, std::uint64_t config_fingerprint,
+    CheckpointKind kind, FaultInjector* injector,
+    const std::function<std::uint64_t(RunCheckpoint&)>& restore) {
   std::optional<LatestCheckpoint> latest =
       latest_valid_checkpoint(dir, config_fingerprint);
-  ResumeReport report;
-  if (!latest.has_value()) return report;
+  if (!latest.has_value()) return {};
   RunCheckpoint& ckpt = latest->checkpoint;
-  ST_CHECK_MSG(ckpt.kind == CheckpointKind::kCoupledRun,
-               "checkpoint " << latest->path.filename().string() << " is a "
-                             << to_string(ckpt.kind)
-                             << " checkpoint, not a coupled-run one");
-  FaultInjector* const injector = sim.config().manager.injector;
+  const std::string name = latest->path.filename().string();
+  ST_CHECK_MSG(ckpt.kind == kind,
+               "checkpoint " << name << " is a " << to_string(ckpt.kind)
+                             << " checkpoint, not a "
+                             << (kind == CheckpointKind::kCoupledRun
+                                     ? "coupled-run"
+                                     : "trace-run")
+                             << " one");
   ST_CHECK_MSG(ckpt.has_injector == (injector != nullptr),
-               "checkpoint " << latest->path.filename().string()
+               "checkpoint " << name
                              << (ckpt.has_injector
                                      ? " carries fault-injector state but "
                                        "this run has no injector"
                                      : " has no fault-injector state but "
                                        "this run expects one"));
-  sim.import_state(std::move(ckpt.coupled));
+  const std::uint64_t restored = restore(ckpt);
   if (injector != nullptr) injector->import_state(ckpt.injector);
-  const std::uint64_t restored = sim.state_fingerprint();
   ST_CHECK_MSG(restored == ckpt.state_fingerprint,
                "restored state fingerprint "
                    << restored << " does not match the fingerprint "
-                   << ckpt.state_fingerprint << " recorded in "
-                   << latest->path.filename().string());
-  report.resumed = true;
-  report.step = ckpt.step;
-  report.invalid_skipped = latest->invalid_skipped;
-  report.path = latest->path;
-  return report;
+                   << ckpt.state_fingerprint << " recorded in " << name);
+  return {true, ckpt.step, latest->invalid_skipped, latest->path};
+}
+
+ResumeReport resume_coupled(CoupledSimulation& sim,
+                            const std::filesystem::path& dir,
+                            std::uint64_t config_fingerprint) {
+  return resume_run(dir, config_fingerprint, CheckpointKind::kCoupledRun,
+                    sim.config().manager.injector, [&sim](RunCheckpoint& ckpt) {
+                      sim.import_state(std::move(ckpt.coupled));
+                      return sim.state_fingerprint();
+                    });
+}
+
+void add_fingerprint(Fingerprint& fp, const Machine& machine) {
+  fp.add(std::string_view(machine.label()));
+  fp.add(machine.grid_px());
+  fp.add(machine.grid_py());
+}
+
+void add_fingerprint(Fingerprint& fp, const ManagerConfig& config) {
+  fp.add(config.strategy_options.hysteresis_threshold);
+  fp.add(config.steps_per_interval);
+  fp.add(config.bytes_per_point);
+  fp.add(config.initial_view_px);
+  fp.add(config.initial_view_py);
+  fp.add(static_cast<std::int64_t>(config.resize_schedule.size()));
+  for (const ResizeEvent& e : config.resize_schedule) {
+    fp.add(e.point);
+    fp.add(e.px);
+    fp.add(e.py);
+  }
+}
+
+void add_fingerprint(Fingerprint& fp, const Trace& trace) {
+  fp.add(static_cast<std::int64_t>(trace.size()));
+  for (const std::vector<NestSpec>& event : trace) {
+    fp.add(static_cast<std::int64_t>(event.size()));
+    for (const NestSpec& spec : event) {
+      fp.add(spec.id);
+      add_fingerprint(fp, spec.region);
+      fp.add(spec.shape.nx);
+      fp.add(spec.shape.ny);
+    }
+  }
+}
+
+void add_fingerprint(Fingerprint& fp, const FaultPlan& plan) {
+  fp.add(static_cast<std::int64_t>(plan.events.size()));
+  for (const FaultEvent& e : plan.events) {
+    fp.add(static_cast<int>(e.kind));
+    fp.add(e.point);
+    fp.add(e.rank);
+    fp.add(e.peer);
+    fp.add(e.index);
+    fp.add(e.attempts);
+    fp.add(std::string_view(e.site));
+  }
 }
 
 void add_fingerprint(Fingerprint& fp, const RealScenarioConfig& sc) {
@@ -747,9 +813,7 @@ void add_fingerprint(Fingerprint& fp, const RealScenarioConfig& sc) {
 std::uint64_t coupled_config_fingerprint(const Machine& machine,
                                          const CoupledConfig& config) {
   Fingerprint fp;
-  fp.add(std::string_view(machine.label()));
-  fp.add(machine.grid_px());
-  fp.add(machine.grid_py());
+  add_fingerprint(fp, machine);
   fp.add(std::string_view(config.manager.strategy));
   // The workload and its tunables shape every payload byte downstream; a
   // checkpoint from one payload implementation must not resume another.
@@ -758,31 +822,10 @@ std::uint64_t coupled_config_fingerprint(const Machine& machine,
   fp.add(config.particles.vortex_scale);
   fp.add(config.particles.drift_u);
   fp.add(config.particles.drift_v);
-  fp.add(config.manager.strategy_options.hysteresis_threshold);
-  fp.add(config.manager.steps_per_interval);
-  fp.add(config.manager.bytes_per_point);
-  fp.add(config.manager.initial_view_px);
-  fp.add(config.manager.initial_view_py);
-  fp.add(static_cast<std::int64_t>(config.manager.resize_schedule.size()));
-  for (const ResizeEvent& e : config.manager.resize_schedule) {
-    fp.add(e.point);
-    fp.add(e.px);
-    fp.add(e.py);
-  }
+  add_fingerprint(fp, config.manager);
   add_fingerprint(fp, config.scenario);
-  if (config.manager.injector != nullptr) {
-    const FaultPlan& plan = config.manager.injector->plan();
-    fp.add(static_cast<std::int64_t>(plan.events.size()));
-    for (const FaultEvent& e : plan.events) {
-      fp.add(static_cast<int>(e.kind));
-      fp.add(e.point);
-      fp.add(e.rank);
-      fp.add(e.peer);
-      fp.add(e.index);
-      fp.add(e.attempts);
-      fp.add(std::string_view(e.site));
-    }
-  }
+  if (config.manager.injector != nullptr)
+    add_fingerprint(fp, config.manager.injector->plan());
   return fp.value();
 }
 

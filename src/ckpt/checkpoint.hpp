@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -44,7 +45,9 @@
 
 #include "core/checkpoint_hook.hpp"
 #include "core/coupled.hpp"
+#include "core/machine.hpp"
 #include "core/pipeline.hpp"
+#include "core/traces.hpp"
 #include "fault/fault_injector.hpp"
 #include "util/fnv.hpp"
 
@@ -124,11 +127,6 @@ struct CheckpointPolicy {
 [[nodiscard]] std::filesystem::path checkpoint_file_path(
     const std::filesystem::path& dir, std::int64_t step);
 
-/// Encode + write atomically to checkpoint_file_path(dir, ckpt.step);
-/// returns the byte size written.
-std::size_t save_checkpoint(const std::filesystem::path& dir,
-                            const RunCheckpoint& ckpt);
-
 /// Read + decode one checkpoint file.
 [[nodiscard]] RunCheckpoint load_checkpoint(const std::filesystem::path& file);
 
@@ -151,32 +149,89 @@ struct LatestCheckpoint {
     const std::filesystem::path& dir,
     std::optional<std::uint64_t> config_fingerprint = std::nullopt);
 
-/// Delete all but the newest \p keep checkpoint files (by step number);
-/// no-op when keep <= 0. Returns the number of files removed.
-int prune_checkpoints(const std::filesystem::path& dir, int keep);
+/// Delete all but the newest \p keep checkpoint files at or below step
+/// \p newest (no-op when keep <= 0); returns the number removed. Files
+/// above \p newest are another run's: a run that starts fresh beside them
+/// must not prune its own newest checkpoint.
+int prune_checkpoints(const std::filesystem::path& dir, int keep,
+                      std::int64_t newest);
 
-/// CheckpointHook for coupled runs: writes a checkpoint after every
-/// policy-due interval, pruning per policy.keep. The `ckpt.writes` counter
-/// is bumped in the simulation's registry *before* the state is serialized,
-/// so the count inside checkpoint k already includes write k and a resumed
-/// run's metrics totals equal the uninterrupted run's.
-///
-/// Writes go behind the simulation. The calling thread fingerprints,
-/// exports and encodes the frame; a thread of this checkpointer then runs
-/// write_file_atomic and prune_checkpoints while the next interval
-/// computes. At most one write is in flight: checkpoint k is durable
-/// before k+1 is handed over, before checkpoint_now() returns, and before
-/// the destructor returns. A failed write is rethrown, naming its file,
-/// from the next checkpoint (a due on_interval() or checkpoint_now()).
-/// The destructor drains but cannot throw; a failure it collects is lost
-/// with the checkpoint, exactly as a crash during that write would lose it.
+/// The one checkpoint writer of both run shapes. The caller's thread
+/// captures and encodes the state; a thread of this writer then runs
+/// write_file_atomic and prune_checkpoints while the run goes on. At most
+/// one write is in flight: checkpoint k is durable before k+1 is handed
+/// over, before collect() returns and before the destructor returns, and
+/// latest_valid_checkpoint() then finds it. A failed write is rethrown,
+/// naming its file, from the next write() or collect(); its step no
+/// longer counts as written. The destructor drains but cannot throw; a
+/// failure only it collects is lost, as a crash during the write would be.
+class CheckpointWriter {
+ public:
+  /// Validates the policy; starts no thread. Every checkpoint is bound to
+  /// \p config_fingerprint. \p written_step is a step already on disk (a
+  /// resumed run's), or -1.
+  CheckpointWriter(CheckpointPolicy policy, std::uint64_t config_fingerprint,
+                   std::int64_t written_step = -1);
+  ~CheckpointWriter();
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  /// Checkpoint \p step (steps completed) unless it is already written:
+  /// bump `ckpt.writes` in \p metrics, let \p capture fill in the kind,
+  /// the state fingerprint and the state, add \p injector's state when
+  /// one is attached, encode, collect the previous write, and hand the
+  /// frame to a new writer thread.
+  void write(std::int64_t step, MetricsRegistry& metrics,
+             const FaultInjector* injector,
+             const std::function<void(RunCheckpoint&)>& capture);
+  /// Wait for the write in flight, if any; rethrows its failure.
+  void collect();
+
+  [[nodiscard]] const CheckpointPolicy& policy() const { return policy_; }
+  /// State fingerprint recorded in the checkpoint written last.
+  [[nodiscard]] std::uint64_t last_fingerprint() const {
+    return last_fingerprint_;
+  }
+  /// Checkpoints handed over and their encoded bytes.
+  [[nodiscard]] std::int64_t bytes_written() const { return bytes_written_; }
+  [[nodiscard]] int writes() const { return writes_; }
+  /// Files pruned by the writes collected so far.
+  [[nodiscard]] int pruned() const { return pruned_; }
+
+ private:
+  /// Body of the writer thread: write and prune pending_, record the
+  /// outcome in it.
+  void write_pending();
+
+  CheckpointPolicy policy_;
+  std::uint64_t config_fp_;
+  std::int64_t last_step_;
+  std::uint64_t last_fingerprint_ = 0;  ///< Recorded at last_step_.
+  std::int64_t bytes_written_ = 0;
+  int writes_ = 0;
+  int pruned_ = 0;
+
+  /// The write handed over last. The writer thread owns it while thread_
+  /// is joinable; it touches nothing else but the filesystem.
+  struct PendingWrite {
+    std::int64_t step = 0;
+    std::filesystem::path file;
+    std::vector<std::byte> frame;  ///< Released once written.
+    int pruned = 0;
+    std::exception_ptr error;
+  };
+  PendingWrite pending_;
+  std::thread thread_;
+};
+
+/// CheckpointHook for coupled runs: writes a checkpoint through its
+/// CheckpointWriter after every policy-due interval.
 class CoupledCheckpointer final : public CheckpointHook {
  public:
   /// Validates the policy. \p config_fingerprint should come from
   /// coupled_config_fingerprint() on the same machine + config.
   CoupledCheckpointer(CheckpointPolicy policy,
                       std::uint64_t config_fingerprint);
-  ~CoupledCheckpointer() override;
 
   void on_interval(CoupledSimulation& sim, int interval) override;
 
@@ -188,40 +243,17 @@ class CoupledCheckpointer final : public CheckpointHook {
   /// then, since the state has not changed since.
   std::uint64_t checkpoint_now(CoupledSimulation& sim);
 
-  /// Checkpoints handed to the writer and their encoded bytes.
-  [[nodiscard]] std::int64_t bytes_written() const { return bytes_written_; }
-  [[nodiscard]] int writes() const { return writes_; }
-  /// Files pruned by the writes collected so far.
-  [[nodiscard]] int pruned() const { return pruned_; }
+  /// See CheckpointWriter.
+  [[nodiscard]] std::int64_t bytes_written() const {
+    return writer_.bytes_written();
+  }
+  [[nodiscard]] int writes() const { return writer_.writes(); }
+  [[nodiscard]] int pruned() const { return writer_.pruned(); }
 
  private:
-  /// Encode the current state and hand it to the writer (after collecting
-  /// the previous write).
-  void hand_off(CoupledSimulation& sim);
-  /// Body of the writer thread: write and prune pending_, record the
-  /// outcome in it.
-  void write_pending();
-  /// Wait for the write in flight, if any; rethrows its failure.
-  void collect();
+  void write(CoupledSimulation& sim);
 
-  CheckpointPolicy policy_;
-  std::uint64_t config_fp_;
-  std::int64_t last_step_ = -1;
-  std::uint64_t last_fingerprint_ = 0;  ///< Recorded at last_step_.
-  std::int64_t bytes_written_ = 0;
-  int writes_ = 0;
-  int pruned_ = 0;
-
-  /// The write handed over last. The writer thread owns it while writer_
-  /// is joinable; it touches nothing else but the filesystem.
-  struct PendingWrite {
-    std::filesystem::path file;
-    std::vector<std::byte> frame;  ///< Released once written.
-    int pruned = 0;
-    std::exception_ptr error;
-  };
-  PendingWrite pending_;
-  std::thread writer_;
+  CheckpointWriter writer_;
 };
 
 /// Outcome of a resume attempt.
@@ -234,15 +266,33 @@ struct ResumeReport {
   std::filesystem::path path;  ///< Checkpoint file actually used.
 };
 
+/// The one resume-and-verify routine of both run shapes: load the newest
+/// valid checkpoint in \p dir bound to \p config_fingerprint (none:
+/// resumed=false), check its kind and injector presence, let \p restore
+/// import the run state and return its state fingerprint (which does not
+/// cover the injector), import the injector state, and verify the
+/// fingerprint. A failed check throws CheckError naming the file.
+[[nodiscard]] ResumeReport resume_run(
+    const std::filesystem::path& dir, std::uint64_t config_fingerprint,
+    CheckpointKind kind, FaultInjector* injector,
+    const std::function<std::uint64_t(RunCheckpoint&)>& restore);
+
 /// Restore \p sim (and its attached fault injector, when both the
 /// checkpoint and the simulation have one) from the newest valid checkpoint
-/// in \p dir. Returns resumed=false when the directory holds none. Throws
-/// CheckError when the newest valid checkpoint is not a coupled-run
-/// checkpoint, when injector presence disagrees, or when the restored
-/// state's fingerprint does not match the one recorded at capture.
+/// in \p dir, through resume_run().
 [[nodiscard]] ResumeReport resume_coupled(CoupledSimulation& sim,
                                           const std::filesystem::path& dir,
                                           std::uint64_t config_fingerprint);
+
+/// The config hashes of trace-run and coupled checkpoints and sweep
+/// journals, one per input: machine label and grid; the result-affecting
+/// ManagerConfig tunables (hysteresis threshold, steps per interval, bytes
+/// per point, initial view, resize schedule; not the strategy name or the
+/// injector); every nest of every trace event; every fault event.
+void add_fingerprint(Fingerprint& fp, const Machine& machine);
+void add_fingerprint(Fingerprint& fp, const ManagerConfig& config);
+void add_fingerprint(Fingerprint& fp, const Trace& trace);
+void add_fingerprint(Fingerprint& fp, const FaultPlan& plan);
 
 /// Fold every field of a real-mode scenario into \p fp: the one scenario
 /// hash of coupled checkpoints and scenario sweep journals.

@@ -4,7 +4,6 @@
 
 #include "exec/cancel.hpp"
 #include "util/check.hpp"
-#include "fault/snapshot.hpp"
 #include "util/fnv.hpp"
 
 namespace stormtrack {
@@ -14,44 +13,11 @@ std::uint64_t trace_run_fingerprint(const Machine& machine,
                                     const Trace& trace,
                                     const ManagerConfig& config) {
   Fingerprint fp;
-  fp.add(std::string_view(machine.label()));
-  fp.add(machine.grid_px());
-  fp.add(machine.grid_py());
+  add_fingerprint(fp, machine);
   fp.add(strategy);
-  fp.add(config.strategy_options.hysteresis_threshold);
-  fp.add(config.steps_per_interval);
-  fp.add(config.bytes_per_point);
-  fp.add(config.initial_view_px);
-  fp.add(config.initial_view_py);
-  fp.add(static_cast<std::int64_t>(config.resize_schedule.size()));
-  for (const ResizeEvent& e : config.resize_schedule) {
-    fp.add(e.point);
-    fp.add(e.px);
-    fp.add(e.py);
-  }
-  fp.add(static_cast<std::int64_t>(trace.size()));
-  for (const std::vector<NestSpec>& event : trace) {
-    fp.add(static_cast<std::int64_t>(event.size()));
-    for (const NestSpec& spec : event) {
-      fp.add(spec.id);
-      add_fingerprint(fp, spec.region);
-      fp.add(spec.shape.nx);
-      fp.add(spec.shape.ny);
-    }
-  }
-  if (config.injector != nullptr) {
-    const FaultPlan& plan = config.injector->plan();
-    fp.add(static_cast<std::int64_t>(plan.events.size()));
-    for (const FaultEvent& e : plan.events) {
-      fp.add(static_cast<int>(e.kind));
-      fp.add(e.point);
-      fp.add(e.rank);
-      fp.add(e.peer);
-      fp.add(e.index);
-      fp.add(e.attempts);
-      fp.add(std::string_view(e.site));
-    }
-  }
+  add_fingerprint(fp, config);
+  add_fingerprint(fp, trace);
+  if (config.injector != nullptr) add_fingerprint(fp, config.injector->plan());
   return fp.value();
 }
 
@@ -72,73 +38,37 @@ TraceRunResult run_trace_checkpointed(const Machine& machine,
 
   TraceRunResult result;
   result.outcomes.reserve(trace.size());
-  std::size_t start = 0;
-  ResumeReport report;
-  if (std::optional<LatestCheckpoint> latest =
-          latest_valid_checkpoint(policy.dir, config_fp);
-      latest.has_value()) {
-    RunCheckpoint& ckpt = latest->checkpoint;
-    ST_CHECK_MSG(ckpt.kind == CheckpointKind::kTraceRun,
-                 "checkpoint " << latest->path.filename().string() << " is a "
-                               << to_string(ckpt.kind)
-                               << " checkpoint, not a trace-run one");
-    ST_CHECK_MSG(ckpt.has_injector == (injector != nullptr),
-                 "checkpoint " << latest->path.filename().string()
-                               << (ckpt.has_injector
-                                       ? " carries fault-injector state but "
-                                         "this run has no injector"
-                                       : " has no fault-injector state but "
-                                         "this run expects one"));
-    ST_CHECK_MSG(static_cast<std::size_t>(ckpt.step) <= trace.size(),
-                 "checkpoint is at step " << ckpt.step << " but the trace "
-                                             "has only "
-                                          << trace.size() << " events");
-    ST_CHECK_MSG(ckpt.outcomes.size() ==
-                     static_cast<std::size_t>(ckpt.step),
-                 "checkpoint at step " << ckpt.step << " carries "
-                                       << ckpt.outcomes.size()
-                                       << " outcomes");
-    pipeline.import_state(ckpt.pipeline);
-    if (injector != nullptr) injector->import_state(ckpt.injector);
-    const std::uint64_t restored = pipeline.state_fingerprint();
-    ST_CHECK_MSG(restored == ckpt.state_fingerprint,
-                 "restored state fingerprint "
-                     << restored << " does not match the fingerprint "
-                     << ckpt.state_fingerprint << " recorded in "
-                     << latest->path.filename().string());
-    result.outcomes = std::move(ckpt.outcomes);
-    start = static_cast<std::size_t>(ckpt.step);
-    report.resumed = true;
-    report.step = ckpt.step;
-    report.invalid_skipped = latest->invalid_skipped;
-    report.path = latest->path;
-  }
+  const ResumeReport report = resume_run(
+      policy.dir, config_fp, CheckpointKind::kTraceRun, injector,
+      [&](RunCheckpoint& ckpt) {
+        ST_CHECK_MSG(static_cast<std::size_t>(ckpt.step) <= trace.size(),
+                     "checkpoint is at step " << ckpt.step
+                                              << " but the trace has only "
+                                              << trace.size() << " events");
+        ST_CHECK_MSG(ckpt.outcomes.size() ==
+                         static_cast<std::size_t>(ckpt.step),
+                     "checkpoint at step " << ckpt.step << " carries "
+                                           << ckpt.outcomes.size()
+                                           << " outcomes");
+        pipeline.import_state(ckpt.pipeline);
+        result.outcomes = std::move(ckpt.outcomes);
+        return pipeline.state_fingerprint();
+      });
 
-  // Step value (points completed) of the newest on-disk checkpoint: writes
-  // are idempotent per step, so resuming at the final point or a cadence
-  // landing on the last event never writes the same state twice.
-  std::int64_t last_written = report.resumed ? report.step : -1;
+  // The resumed step is already on disk, so resuming at the final point
+  // or a cadence landing on the last event never writes it twice.
+  CheckpointWriter writer(policy, config_fp,
+                          report.resumed ? report.step : -1);
   const auto write = [&](std::int64_t step) {
-    if (step == last_written) return;
-    // Pre-bump (see CoupledCheckpointer::checkpoint_now for the rationale).
-    pipeline.metrics().add_count("ckpt.writes");
-    RunCheckpoint ckpt;
-    ckpt.kind = CheckpointKind::kTraceRun;
-    ckpt.config_fingerprint = config_fp;
-    ckpt.step = step;
-    ckpt.state_fingerprint = pipeline.state_fingerprint();
-    ckpt.pipeline = pipeline.export_state();
-    ckpt.outcomes = result.outcomes;
-    if (injector != nullptr) {
-      ckpt.has_injector = true;
-      ckpt.injector = injector->export_state();
-    }
-    save_checkpoint(policy.dir, ckpt);
-    prune_checkpoints(policy.dir, policy.keep);
-    last_written = step;
+    writer.write(step, pipeline.metrics(), injector, [&](RunCheckpoint& ckpt) {
+      ckpt.kind = CheckpointKind::kTraceRun;
+      ckpt.state_fingerprint = pipeline.state_fingerprint();
+      ckpt.pipeline = pipeline.export_state();
+      ckpt.outcomes = result.outcomes;
+    });
   };
 
-  for (std::size_t i = start; i < trace.size(); ++i) {
+  for (std::size_t i = result.outcomes.size(); i < trace.size(); ++i) {
     try {
       result.outcomes.push_back(pipeline.apply(trace[i]));
     } catch (const CancelledError&) {
@@ -147,14 +77,16 @@ TraceRunResult run_trace_checkpointed(const Machine& machine,
       // Capture that progress durably (a SIGTERM'd run resumes from here
       // with --resume), then let the caller pick the exit path.
       write(static_cast<std::int64_t>(result.outcomes.size()));
+      writer.collect();
       throw;
     }
     if (policy.due(static_cast<std::int64_t>(i)))
       write(static_cast<std::int64_t>(i) + 1);
   }
   // Final state always captured, even when the cadence does not divide the
-  // trace length (the idempotence guard skips the duplicate when it does).
+  // trace length (the writer's guard skips the duplicate when it does).
   write(static_cast<std::int64_t>(trace.size()));
+  writer.collect();
 
   result.metrics = pipeline.metrics();
   result.final_state_fingerprint = pipeline.state_fingerprint();

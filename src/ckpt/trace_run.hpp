@@ -12,6 +12,11 @@
 /// byte-identical to an uninterrupted run's. A final checkpoint is always
 /// written after the last adaptation point even when the cadence does not
 /// divide the trace length.
+///
+/// The coupled runs' CheckpointWriter writes behind the run: checkpoint k
+/// is durable before k+1 is handed over, before the run returns, and
+/// before a CancelledError reaches the caller. A SIGKILL may lose the
+/// newest one; the resume then starts a checkpoint earlier, same result.
 
 #include <cstdint>
 #include <string_view>
@@ -22,7 +27,7 @@
 namespace stormtrack {
 
 /// Fingerprint binding trace-run checkpoints to their configuration:
-/// machine label + grid, strategy + options, pipeline knobs, the full
+/// machine label + grid, strategy, the ManagerConfig tunables, the full
 /// trace content, and the fault plan when an injector is attached.
 [[nodiscard]] std::uint64_t trace_run_fingerprint(const Machine& machine,
                                                   std::string_view strategy,

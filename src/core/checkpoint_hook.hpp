@@ -5,36 +5,28 @@
 ///
 /// The dependency arrow between core and ckpt points one way: ckpt (like
 /// sweep) is layered *above* core and serializes its state. Core therefore
-/// cannot name a concrete checkpointer — instead the run loops
-/// (CoupledSimulation::advance, ckpt's trace runner) invoke this abstract
-/// hook after every *committed* adaptation point, and ckpt implements it.
-/// Committed is the operative word: the hook fires only once the point's
-/// transaction has fully landed, so anything it persists is a consistent
-/// cut of the run — never mid-ladder, never mid-rollback.
+/// cannot name a concrete checkpointer — instead CoupledSimulation::advance
+/// invokes this abstract hook after every *committed* interval, and ckpt
+/// implements it. Committed is the operative word: the hook fires only once
+/// the interval's adaptation point has fully landed, so anything it
+/// persists is a consistent cut of the run — never mid-ladder, never
+/// mid-rollback. (ckpt's bare trace runner owns its loop and needs no
+/// hook.)
 
 namespace stormtrack {
 
-class AdaptationPipeline;
 class CoupledSimulation;
-struct StepOutcome;
 
-/// See file comment. Default implementations are no-ops so embedders
-/// override only the run shape they drive.
+/// See file comment. The default implementation is a no-op.
 class CheckpointHook {
  public:
   virtual ~CheckpointHook() = default;
 
-  /// One committed adaptation point of a bare trace run. \p point is the
-  /// 0-based index of the point that just committed. The pipeline reference
-  /// is mutable so implementations can account their work in its metrics
-  /// registry (part of the serialized state).
-  virtual void on_adaptation_point(AdaptationPipeline& /*pipeline*/,
-                                   int /*point*/,
-                                   const StepOutcome& /*outcome*/) {}
-
   /// One committed interval of a coupled run (weather + PDA + tracker +
   /// pipeline + live nest fields). \p interval is the 0-based index of the
-  /// interval that just completed. Mutable for the same reason as above.
+  /// interval that just completed. The simulation reference is mutable so
+  /// implementations can account their work in its metrics registry (part
+  /// of the serialized state).
   virtual void on_interval(CoupledSimulation& /*sim*/, int /*interval*/) {}
 };
 

@@ -16,7 +16,6 @@
 #include "fault/fault_plan.hpp"
 #include "sweep/sweep_journal.hpp"
 #include "util/check.hpp"
-#include "fault/snapshot.hpp"
 #include "util/fnv.hpp"
 
 namespace stormtrack {
@@ -394,16 +393,7 @@ std::uint64_t sweep_spec_fingerprint(const SweepSpec& spec) {
   fp.add(static_cast<std::int64_t>(spec.traces.size()));
   for (const SweepTrace& t : spec.traces) {
     fp.add(std::string_view(t.name));
-    fp.add(static_cast<std::int64_t>(t.trace.size()));
-    for (const std::vector<NestSpec>& event : t.trace) {
-      fp.add(static_cast<std::int64_t>(event.size()));
-      for (const NestSpec& spec_entry : event) {
-        fp.add(spec_entry.id);
-        add_fingerprint(fp, spec_entry.region);
-        fp.add(spec_entry.shape.nx);
-        fp.add(spec_entry.shape.ny);
-      }
-    }
+    add_fingerprint(fp, t.trace);
   }
   // Scenario sweeps fold the scenario axis and workload in; pure-trace
   // specs hash exactly as before the scenario axis existed, so established
@@ -420,24 +410,11 @@ std::uint64_t sweep_spec_fingerprint(const SweepSpec& spec) {
   for (const SweepMachine& m : spec.machines) fp.add(std::string_view(m.name));
   fp.add(static_cast<std::int64_t>(spec.strategies.size()));
   for (const std::string& s : spec.strategies) fp.add(std::string_view(s));
-  fp.add(spec.config.strategy_options.hysteresis_threshold);
-  fp.add(spec.config.steps_per_interval);
-  fp.add(spec.config.bytes_per_point);
+  add_fingerprint(fp, spec.config);
   const FaultPlan* plan = spec.fault_plan;
   if (plan == nullptr && spec.config.injector != nullptr)
     plan = &spec.config.injector->plan();
-  if (plan != nullptr) {
-    fp.add(static_cast<std::int64_t>(plan->events.size()));
-    for (const FaultEvent& e : plan->events) {
-      fp.add(static_cast<int>(e.kind));
-      fp.add(e.point);
-      fp.add(e.rank);
-      fp.add(e.peer);
-      fp.add(e.index);
-      fp.add(e.attempts);
-      fp.add(std::string_view(e.site));
-    }
-  }
+  if (plan != nullptr) add_fingerprint(fp, *plan);
   return fp.value();
 }
 

@@ -9,6 +9,8 @@
 
 #include "ckpt/trace_run.hpp"
 #include "core/experiment.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/fnv.hpp"
@@ -43,6 +45,14 @@ RunCheckpoint trace_checkpoint(const Machine& machine,
   ckpt.state_fingerprint = pipeline.state_fingerprint();
   ckpt.pipeline = pipeline.export_state();
   return ckpt;
+}
+
+/// Encode + write \p ckpt to its file in \p dir; returns the byte size.
+std::size_t save_checkpoint(const fs::path& dir, const RunCheckpoint& ckpt) {
+  const std::vector<std::byte> bytes = encode_checkpoint(ckpt);
+  write_file_atomic(checkpoint_file_path(dir, ckpt.step),
+                    std::span<const std::byte>(bytes));
+  return bytes.size();
 }
 
 class CheckpointTest : public ::testing::Test {
@@ -145,6 +155,48 @@ TEST_F(CheckpointTest, CoupledFileBytesArePinned) {
   fp.add_bytes(bytes.data(), bytes.size());
   EXPECT_EQ(bytes.size(), 932576u);
   EXPECT_EQ(fp.value(), 0x1ac5708d8945a76aull);
+}
+
+/// A plan, a resize schedule and a sub-grid initial view: every input the
+/// config hashes read besides the defaults. The pinned values below bind
+/// every checkpoint already on disk; a change of either orphans them.
+ManagerConfig pinned_manager_config(FaultInjector& injector) {
+  ManagerConfig config;
+  config.strategy_options.hysteresis_threshold = 0.125;
+  config.initial_view_px = 8;
+  config.initial_view_py = 16;
+  config.resize_schedule = {{2, 16, 16}, {4, 12, 16}};
+  config.injector = &injector;
+  return config;
+}
+
+FaultPlan pinned_plan() {
+  FaultPlan::RandomConfig rc;
+  rc.num_events = 6;
+  rc.num_points = 8;
+  rc.num_ranks = 256;
+  rc.seed = 9;
+  return FaultPlan::random(rc);
+}
+
+TEST_F(CheckpointTest, TraceRunFingerprintIsPinned) {
+  FaultInjector injector(pinned_plan());
+  const ManagerConfig config = pinned_manager_config(injector);
+  EXPECT_EQ(trace_run_fingerprint(machine_, "hysteresis", small_trace(5),
+                                  config),
+            0x881c70a795300f2eull);
+}
+
+TEST_F(CheckpointTest, CoupledConfigFingerprintIsPinned) {
+  FaultInjector injector(pinned_plan());
+  CoupledConfig config;
+  config.scenario.num_intervals = 6;
+  config.scenario.seed = 31;
+  config.workload = "particles";
+  config.manager = pinned_manager_config(injector);
+  config.manager.strategy = "dynamic";
+  EXPECT_EQ(coupled_config_fingerprint(machine_, config),
+            0xde16f0183ca799baull);
 }
 
 TEST_F(CheckpointTest, ZeroLengthFileIsRejected) {
@@ -254,12 +306,12 @@ TEST_F(CheckpointTest, PruneKeepsOnlyTheNewest) {
   const Trace trace = small_trace(6);
   for (const int steps : {1, 2, 3, 4})
     save_checkpoint(dir_, trace_checkpoint(machine_, models_, trace, steps));
-  EXPECT_EQ(prune_checkpoints(dir_, 2), 2);
+  EXPECT_EQ(prune_checkpoints(dir_, 2, 4), 2);
   EXPECT_FALSE(fs::exists(checkpoint_file_path(dir_, 1)));
   EXPECT_FALSE(fs::exists(checkpoint_file_path(dir_, 2)));
   EXPECT_TRUE(fs::exists(checkpoint_file_path(dir_, 3)));
   EXPECT_TRUE(fs::exists(checkpoint_file_path(dir_, 4)));
-  EXPECT_EQ(prune_checkpoints(dir_, 0), 0);  // keep <= 0 keeps all
+  EXPECT_EQ(prune_checkpoints(dir_, 0, 4), 0);  // keep <= 0 keeps all
 }
 
 TEST_F(CheckpointTest, PolicyValidationAndCadence) {

@@ -288,5 +288,24 @@ TEST_F(SweepSupervisorTest, FingerprintIgnoresExecutionKnobsOnly) {
   EXPECT_NE(sweep_spec_fingerprint(tuned), fp);
 }
 
+TEST_F(SweepSupervisorTest, FingerprintBindsInitialViewAndResizeSchedule) {
+  // Both reach every case through spec.config, so a journal written under
+  // one view or resize schedule must not replay under another.
+  const std::uint64_t fp = sweep_spec_fingerprint(grid());
+
+  SweepSpec narrow = grid();
+  narrow.config.initial_view_px = 8;
+  EXPECT_NE(sweep_spec_fingerprint(narrow), fp);
+
+  SweepSpec short_view = grid();
+  short_view.config.initial_view_py = 8;
+  EXPECT_NE(sweep_spec_fingerprint(short_view), fp);
+
+  SweepSpec resized = grid();
+  resized.config.resize_schedule = {{2, 8, 16}};
+  EXPECT_NE(sweep_spec_fingerprint(resized), fp);
+  EXPECT_NE(sweep_spec_fingerprint(resized), sweep_spec_fingerprint(narrow));
+}
+
 }  // namespace
 }  // namespace stormtrack
