@@ -1,7 +1,8 @@
 /// \file bench_particle_advection.cpp
 /// Particle-workload throughput through the coupled engine: full
 /// CoupledSimulation runs (weather + PDA + reallocation + Lagrangian
-/// advection) at 1–8 integration threads on BG/L 256.
+/// advection) at 1–8 executor threads on BG/L 256; the run's one executor
+/// prices the pipeline's candidates and advects the particles.
 ///
 /// Wall times (particles advected per second) are advisory — 1-CPU CI
 /// runners make them too noisy to gate on. The regression anchors are the
@@ -76,7 +77,7 @@ RowResult run_threads(int threads) {
   CoupledConfig cfg = bench_config();
   if (threads > 1) {
     pool = std::make_unique<ThreadPoolExecutor>(threads);
-    cfg.executor = pool.get();
+    cfg.manager.executor = pool.get();
   }
   CoupledSimulation sim(machine, models.model, models.truth, cfg);
 

@@ -251,6 +251,41 @@ CheckpointPolicy checkpoint_policy(const Options& opt) {
   return policy;
 }
 
+/// The --threads pool the run's one executor comes from; null (serial) for
+/// --threads 1.
+std::unique_ptr<ThreadPoolExecutor> make_pool(const Options& opt) {
+  if (opt.threads == 1) return nullptr;
+  return std::make_unique<ThreadPoolExecutor>(opt.threads);
+}
+
+/// Loads --fault-plan into \p plan when given. False (reason printed) when
+/// the file is unreadable or corrupt.
+bool load_fault_plan(const Options& opt, std::optional<FaultPlan>& plan) {
+  if (!opt.fault_plan) return true;
+  try {
+    plan = FaultPlan::load(std::filesystem::path(*opt.fault_plan));
+  } catch (const std::exception& e) {
+    std::cerr << "--fault-plan: " << e.what() << "\n";
+    return false;
+  }
+  return true;
+}
+
+/// "fault injection: <fault./recovery. counters>" for a run under a plan.
+void print_fault_counters(const Options& opt, const MetricsRegistry& metrics) {
+  std::cout << (opt.csv ? "# " : "") << "fault injection:";
+  bool fired = false;
+  for (const auto& [name, entry] : metrics.entries()) {
+    if (!name.starts_with("fault.") && !name.starts_with("recovery."))
+      continue;
+    if (entry.count == 0) continue;
+    std::cout << " " << name << "=" << entry.count;
+    fired = true;
+  }
+  if (!fired) std::cout << " (no events fired)";
+  std::cout << "\n";
+}
+
 /// "resumed from <file> at <unit> <step>" when the run resumed.
 void print_resume_banner(const Options& opt, const ResumeReport& report,
                          std::string_view unit) {
@@ -279,22 +314,11 @@ int run_coupled(Machine& machine, const Options& opt) {
   cfg.manager.cancel = &g_cancel;
   cfg.workload = *opt.workload;
 
-  std::unique_ptr<ThreadPoolExecutor> pool;
-  if (opt.threads != 1) {
-    pool = std::make_unique<ThreadPoolExecutor>(opt.threads);
-    cfg.manager.executor = pool.get();
-    cfg.executor = pool.get();
-  }
+  const std::unique_ptr<ThreadPoolExecutor> pool = make_pool(opt);
+  cfg.manager.executor = pool.get();
 
   std::optional<FaultPlan> plan;
-  if (opt.fault_plan) {
-    try {
-      plan = FaultPlan::load(std::filesystem::path(*opt.fault_plan));
-    } catch (const std::exception& e) {
-      std::cerr << "--fault-plan: " << e.what() << "\n";
-      return kExitParse;
-    }
-  }
+  if (!load_fault_plan(opt, plan)) return kExitParse;
   std::optional<FaultInjector> injector;
   if (plan) cfg.manager.injector = &injector.emplace(*plan);
 
@@ -369,19 +393,7 @@ int run_coupled(Machine& machine, const Options& opt) {
     std::cout << (opt.csv ? "# " : "") << "state fingerprint: " << std::hex
               << std::setfill('0') << std::setw(16) << sim.state_fingerprint()
               << std::dec << std::setfill(' ') << "\n";
-    if (plan) {
-      std::cout << (opt.csv ? "# " : "") << "fault injection:";
-      bool fired = false;
-      for (const auto& [name, entry] : sim.metrics().entries()) {
-        if (!name.starts_with("fault.") && !name.starts_with("recovery."))
-          continue;
-        if (entry.count == 0) continue;
-        std::cout << " " << name << "=" << entry.count;
-        fired = true;
-      }
-      if (!fired) std::cout << " (no events fired)";
-      std::cout << "\n";
-    }
+    if (plan) print_fault_counters(opt, sim.metrics());
 
     if (opt.images) {
       const std::filesystem::path dir(*opt.images);
@@ -456,40 +468,15 @@ int main(int argc, char** argv) {
 
   // Candidate evaluation runs on a shared pool; --threads 1 keeps the
   // pipeline serial (byte-identical results either way, see src/exec).
-  std::unique_ptr<ThreadPoolExecutor> pool;
+  const std::unique_ptr<ThreadPoolExecutor> pool = make_pool(opt);
   ManagerConfig config;
   config.cancel = &g_cancel;
-  if (opt.threads != 1) {
-    pool = std::make_unique<ThreadPoolExecutor>(opt.threads);
-    config.executor = pool.get();
-  }
+  config.executor = pool.get();
 
   // Fault schedule: every run (and every compared strategy) gets a FRESH
   // injector from the same plan, so each replays the identical schedule.
   std::optional<FaultPlan> plan;
-  if (opt.fault_plan) {
-    try {
-      plan = FaultPlan::load(std::filesystem::path(*opt.fault_plan));
-    } catch (const std::exception& e) {
-      std::cerr << "--fault-plan: " << e.what() << "\n";
-      return kExitParse;
-    }
-  }
-
-  auto print_recovery = [&](const MetricsRegistry& metrics) {
-    if (!plan) return;
-    std::cout << (opt.csv ? "# " : "") << "fault injection:";
-    bool any = false;
-    for (const auto& [name, entry] : metrics.entries()) {
-      if (!name.starts_with("fault.") && !name.starts_with("recovery."))
-        continue;
-      if (entry.count == 0) continue;
-      std::cout << " " << name << "=" << entry.count;
-      any = true;
-    }
-    if (!any) std::cout << " (no events fired)";
-    std::cout << "\n";
-  };
+  if (!load_fault_plan(opt, plan)) return kExitParse;
 
   if (opt.compare) {
     Table cmp({"Strategy", "Exec (s)", "Redist (s)", "Total (s)",
@@ -520,7 +507,7 @@ int main(int argc, char** argv) {
       std::cout << cmp.to_csv();
     else
       cmp.print(std::cout);
-    print_recovery(compare_metrics);
+    if (plan) print_fault_counters(opt, compare_metrics);
     return kExitOk;
   }
 
@@ -582,7 +569,7 @@ int main(int argc, char** argv) {
   std::cout << (opt.csv ? "# " : "") << "state fingerprint: " << std::hex
             << std::setfill('0') << std::setw(16) << r.final_state_fingerprint
             << std::dec << std::setfill(' ') << "\n";
-  print_recovery(r.metrics);
+  if (plan) print_fault_counters(opt, r.metrics);
 
   // ---- images
   if (opt.images && !r.outcomes.empty()) {

@@ -604,12 +604,15 @@ int prune_checkpoints(const std::filesystem::path& dir, int keep,
 // --------------------------------------------------------- CheckpointWriter
 
 CheckpointWriter::CheckpointWriter(CheckpointPolicy policy,
-                                   std::uint64_t config_fingerprint,
-                                   std::int64_t written_step)
-    : policy_(std::move(policy)),
-      config_fp_(config_fingerprint),
-      last_step_(written_step) {
+                                   std::uint64_t config_fingerprint)
+    : policy_(std::move(policy)), config_fp_(config_fingerprint) {
   policy_.validate();
+}
+
+void CheckpointWriter::resumed_at(std::int64_t step,
+                                  std::uint64_t state_fingerprint) {
+  last_step_ = step;
+  last_fingerprint_ = state_fingerprint;
 }
 
 CheckpointWriter::~CheckpointWriter() {
@@ -684,6 +687,11 @@ void CoupledCheckpointer::on_interval(CoupledSimulation& sim, int interval) {
   if (writer_.policy().due(interval)) write(sim);
 }
 
+void CoupledCheckpointer::on_resume(std::int64_t step,
+                                    std::uint64_t state_fingerprint) {
+  writer_.resumed_at(step, state_fingerprint);
+}
+
 std::uint64_t CoupledCheckpointer::checkpoint_now(CoupledSimulation& sim) {
   write(sim);
   writer_.collect();
@@ -734,11 +742,17 @@ ResumeReport resume_run(
 ResumeReport resume_coupled(CoupledSimulation& sim,
                             const std::filesystem::path& dir,
                             std::uint64_t config_fingerprint) {
-  return resume_run(dir, config_fingerprint, CheckpointKind::kCoupledRun,
-                    sim.config().manager.injector, [&sim](RunCheckpoint& ckpt) {
-                      sim.import_state(std::move(ckpt.coupled));
-                      return sim.state_fingerprint();
-                    });
+  std::uint64_t restored = 0;
+  const ResumeReport report = resume_run(
+      dir, config_fingerprint, CheckpointKind::kCoupledRun,
+      sim.config().manager.injector, [&](RunCheckpoint& ckpt) {
+        sim.import_state(std::move(ckpt.coupled));
+        restored = sim.state_fingerprint();
+        return restored;
+      });
+  if (report.resumed && sim.config().hook != nullptr)
+    sim.config().hook->on_resume(report.step, restored);
+  return report;
 }
 
 void add_fingerprint(Fingerprint& fp, const Machine& machine) {

@@ -168,10 +168,8 @@ int prune_checkpoints(const std::filesystem::path& dir, int keep,
 class CheckpointWriter {
  public:
   /// Validates the policy; starts no thread. Every checkpoint is bound to
-  /// \p config_fingerprint. \p written_step is a step already on disk (a
-  /// resumed run's), or -1.
-  CheckpointWriter(CheckpointPolicy policy, std::uint64_t config_fingerprint,
-                   std::int64_t written_step = -1);
+  /// \p config_fingerprint.
+  CheckpointWriter(CheckpointPolicy policy, std::uint64_t config_fingerprint);
   ~CheckpointWriter();
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
@@ -186,6 +184,10 @@ class CheckpointWriter {
              const std::function<void(RunCheckpoint&)>& capture);
   /// Wait for the write in flight, if any; rethrows its failure.
   void collect();
+  /// The run resumed from the checkpoint of \p step, recorded with
+  /// \p state_fingerprint: that step is on disk, so write() skips it and
+  /// last_fingerprint() reports it.
+  void resumed_at(std::int64_t step, std::uint64_t state_fingerprint);
 
   [[nodiscard]] const CheckpointPolicy& policy() const { return policy_; }
   /// State fingerprint recorded in the checkpoint written last.
@@ -205,7 +207,7 @@ class CheckpointWriter {
 
   CheckpointPolicy policy_;
   std::uint64_t config_fp_;
-  std::int64_t last_step_;
+  std::int64_t last_step_ = -1;
   std::uint64_t last_fingerprint_ = 0;  ///< Recorded at last_step_.
   std::int64_t bytes_written_ = 0;
   int writes_ = 0;
@@ -234,6 +236,9 @@ class CoupledCheckpointer final : public CheckpointHook {
                       std::uint64_t config_fingerprint);
 
   void on_interval(CoupledSimulation& sim, int interval) override;
+  /// Seeds the writer with the resumed step, so checkpoint_now() there
+  /// neither rewrites it nor counts another write.
+  void on_resume(std::int64_t step, std::uint64_t state_fingerprint) override;
 
   /// Unconditional checkpoint of the current state (idempotent per step),
   /// durable on return: runners call this once after the loop so the final
@@ -279,7 +284,8 @@ struct ResumeReport {
 
 /// Restore \p sim (and its attached fault injector, when both the
 /// checkpoint and the simulation have one) from the newest valid checkpoint
-/// in \p dir, through resume_run().
+/// in \p dir, through resume_run(), and tell its checkpoint hook which step
+/// it resumed from (CheckpointHook::on_resume).
 [[nodiscard]] ResumeReport resume_coupled(CoupledSimulation& sim,
                                           const std::filesystem::path& dir,
                                           std::uint64_t config_fingerprint);

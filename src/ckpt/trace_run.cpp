@@ -38,6 +38,7 @@ TraceRunResult run_trace_checkpointed(const Machine& machine,
 
   TraceRunResult result;
   result.outcomes.reserve(trace.size());
+  std::uint64_t restored = 0;
   const ResumeReport report = resume_run(
       policy.dir, config_fp, CheckpointKind::kTraceRun, injector,
       [&](RunCheckpoint& ckpt) {
@@ -52,13 +53,14 @@ TraceRunResult run_trace_checkpointed(const Machine& machine,
                                            << " outcomes");
         pipeline.import_state(ckpt.pipeline);
         result.outcomes = std::move(ckpt.outcomes);
-        return pipeline.state_fingerprint();
+        restored = pipeline.state_fingerprint();
+        return restored;
       });
 
   // The resumed step is already on disk, so resuming at the final point
   // or a cadence landing on the last event never writes it twice.
-  CheckpointWriter writer(policy, config_fp,
-                          report.resumed ? report.step : -1);
+  CheckpointWriter writer(policy, config_fp);
+  if (report.resumed) writer.resumed_at(report.step, restored);
   const auto write = [&](std::int64_t step) {
     writer.write(step, pipeline.metrics(), injector, [&](RunCheckpoint& ckpt) {
       ckpt.kind = CheckpointKind::kTraceRun;

@@ -13,6 +13,8 @@
 /// mid-rollback. (ckpt's bare trace runner owns its loop and needs no
 /// hook.)
 
+#include <cstdint>
+
 namespace stormtrack {
 
 class CoupledSimulation;
@@ -28,6 +30,12 @@ class CheckpointHook {
   /// implementations can account their work in its metrics registry (part
   /// of the serialized state).
   virtual void on_interval(CoupledSimulation& /*sim*/, int /*interval*/) {}
+
+  /// The run was just restored from the checkpoint of \p step, whose
+  /// recorded state fingerprint is \p state_fingerprint (resume_coupled
+  /// calls this), so that checkpoint is already on disk.
+  virtual void on_resume(std::int64_t /*step*/,
+                         std::uint64_t /*state_fingerprint*/) {}
 };
 
 }  // namespace stormtrack

@@ -54,7 +54,7 @@ WorkloadEnv CoupledSimulation::workload_env(TrafficReport* data_movement) {
   env.weather = &driver_.weather();
   env.redistributor = &redistributor_;
   env.metrics = &manager_.metrics();
-  env.executor = config_.executor;
+  env.executor = config_.manager.executor;
   env.data_movement = data_movement;
   return env;
 }

@@ -52,19 +52,18 @@ namespace stormtrack {
 
 class CheckpointHook;
 
-/// Configuration of the coupled run.
+/// Configuration of the coupled run. The run's one executor is
+/// manager.executor: the pipeline prices candidates on it and workloads
+/// that can parallelize integration (particle advection) run on it too;
+/// results are byte-identical to serial.
 struct CoupledConfig {
   RealScenarioConfig scenario;    ///< Weather, PDA, simulation process grid.
-  ManagerConfig manager;          ///< Strategy, steps per interval, bytes.
+  ManagerConfig manager;          ///< Strategy, executor, steps, bytes.
   DynamicsParams nest_dynamics;   ///< Nest integrator coefficients.
   /// Registered name of the nest payload implementation (see
   /// WorkloadRegistry: "field", "particles").
   std::string workload = "field";
   ParticleParams particles;       ///< Tunables for workload = "particles".
-  /// When set, workloads that can parallelize integration (particle
-  /// advection) use it; results are byte-identical to serial. Must outlive
-  /// the simulation.
-  Executor* executor = nullptr;
   /// Invoked (on_interval) after every completed interval — the ckpt
   /// subsystem hangs checkpointing off this seam. Null = no hook. Must
   /// outlive the simulation.

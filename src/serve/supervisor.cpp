@@ -37,7 +37,7 @@ SessionSupervisor::SessionSupervisor(std::filesystem::path state_dir,
   ST_CHECK_MSG(limits_.pool_threads >= 0, "pool_threads must not be negative");
   // 0 = one worker per admission slot: max_active sessions advance at once.
   if (limits_.pool_threads == 0) limits_.pool_threads = limits_.max_active;
-  pool_ = std::make_unique<SharedPoolExecutor>(limits_.pool_threads);
+  pool_ = std::make_unique<ThreadPoolExecutor>(limits_.pool_threads);
   next_id_ = journal_.max_id() + 1;
   for (const auto& [id, replayed] : journal_.replayed()) {
     auto session = std::make_unique<Session>();
@@ -320,8 +320,7 @@ MetricsRegistry SessionSupervisor::metrics() const {
   const PricingCache::Stats pricing = pricing_.stats();
   snapshot.add_count("server.pricing_shared_hits", pricing.hits);
   snapshot.add_count("server.pricing_shared_misses", pricing.misses);
-  snapshot.add_count("server.pool_batches",
-                     pool_->occupancy().completed_batches);
+  snapshot.add_count("server.pool_batches", pool_->stats().batches);
   return snapshot;
 }
 
@@ -339,9 +338,9 @@ ServerStats SessionSupervisor::stats() const {
   stats.estimated_wait_seconds = estimated_wait_locked();
   stats.tenants.reserve(tenants_.size());
   for (const auto& [name, tenant] : tenants_) stats.tenants.push_back(tenant);
-  const PoolOccupancy occ = pool_->occupancy();
-  stats.pool_threads = static_cast<std::uint64_t>(occ.threads);
-  stats.pool_batches = static_cast<std::uint64_t>(occ.completed_batches);
+  const ExecutorStats pool = pool_->stats();
+  stats.pool_threads = static_cast<std::uint64_t>(pool.threads);
+  stats.pool_batches = static_cast<std::uint64_t>(pool.batches);
   for (const auto& [id, session] : sessions_) {
     if (session->status.state != SessionState::kRunning) continue;
     if (session->slicing) {
@@ -528,10 +527,9 @@ std::unique_ptr<SessionSupervisor::SessionTask> SessionSupervisor::build_task(
   cfg.manager.cancel = &session.token;
   cfg.workload = spec.workload;
   cfg.manager.pricing_cache = &pricing_;
-  // The session's pipeline submits its data-parallel batches into the
-  // supervisor's pool — never a private executor.
+  // The session's pipeline and workload submit their data-parallel batches
+  // into the supervisor's pool — never a private executor.
   cfg.manager.executor = pool_.get();
-  cfg.executor = pool_.get();
 
   const std::filesystem::path dir = checkpoint_dir(id);
   std::filesystem::create_directories(dir);

@@ -23,11 +23,11 @@
 ///     session waits (or is shed) in the queue beside idle capacity. Retry
 ///     backoffs park the session (no thread sleeps on it); the watchdog
 ///     promotes parked sessions when their backoff elapses or their token
-///     trips. Every session's pipeline submits its data-parallel batches
-///     into one SharedPoolExecutor — never a private pool — and the
-///     executor's determinism contract keeps per-session results
-///     byte-identical to serial execution regardless of pool width or
-///     co-scheduled sessions.
+///     trips. Every session's pipeline and workload submit their
+///     data-parallel batches into the supervisor's one ThreadPoolExecutor
+///     — never a private pool — and the executor's determinism contract
+///     keeps per-session results byte-identical to serial execution
+///     regardless of pool width or co-scheduled sessions.
 ///   * **Cross-session pricing reuse.** Every session's pipeline prices
 ///     candidates through one supervisor-wide PricingCache, scoped by
 ///     Machine::fingerprint(), so sessions sharing a machine model warm
@@ -88,7 +88,7 @@
 
 #include "core/experiment.hpp"
 #include "exec/cancel.hpp"
-#include "exec/shared_pool.hpp"
+#include "exec/executor.hpp"
 #include "redist/pricing_cache.hpp"
 #include "serve/fair_queue.hpp"
 #include "serve/protocol.hpp"
@@ -325,7 +325,7 @@ class SessionSupervisor {
   const ModelStack models_;  ///< Shared, const — thread-safe memo inside.
   /// Shared executor every session submits into. Constructed before any
   /// session and outlives them all.
-  std::unique_ptr<SharedPoolExecutor> pool_;
+  std::unique_ptr<ThreadPoolExecutor> pool_;
   /// Cross-session pricing cache (scoped by machine fingerprint); wired
   /// into every session. Internally synchronized — not guarded by mutex_.
   PricingCache pricing_;

@@ -67,7 +67,6 @@ TraceRunResult run_scenario_case(const Machine& machine,
   cfg.manager = manager;
   cfg.manager.strategy = strategy;
   cfg.workload = workload;
-  cfg.executor = manager.executor;
   CoupledSimulation sim(machine, model, truth, cfg);
   TraceRunResult result;
   result.outcomes.reserve(
@@ -95,22 +94,17 @@ TraceRunResult run_case(const SweepSpec& spec,
                    spec.traces[r.trace_index].trace, config);
 }
 
-/// Resolve the executor for \p spec: the caller-shared one, or a pool owned
-/// for the duration of the run (threads = 1 stays fully serial, no pool).
-Executor* resolve_spec_executor(const SweepSpec& spec, std::size_t n,
-                                std::unique_ptr<ThreadPoolExecutor>& owned) {
-  Executor* exec = spec.executor;
-  if (exec == nullptr && spec.threads != 1 && n > 1) {
-    const int want = spec.threads == 0 ? default_thread_count() : spec.threads;
-    const int pool_size =
-        std::min(want, static_cast<int>(std::min<std::size_t>(
-                           n, std::numeric_limits<int>::max())));
-    if (pool_size > 1) {
-      owned = std::make_unique<ThreadPoolExecutor>(pool_size);
-      exec = owned.get();
-    }
-  }
-  return exec;
+/// The pool \p spec runs on, owned for the duration of the run; null (fully
+/// serial) for threads = 1 or a single case.
+std::unique_ptr<ThreadPoolExecutor> make_spec_pool(const SweepSpec& spec,
+                                                   std::size_t n) {
+  if (spec.threads == 1 || n <= 1) return nullptr;
+  const int want = spec.threads == 0 ? default_thread_count() : spec.threads;
+  const int pool_size =
+      std::min(want, static_cast<int>(std::min<std::size_t>(
+                         n, std::numeric_limits<int>::max())));
+  if (pool_size <= 1) return nullptr;
+  return std::make_unique<ThreadPoolExecutor>(pool_size);
 }
 
 void check_duplicates(const std::vector<std::string>& names,
@@ -141,6 +135,9 @@ SweepRunner::SweepRunner(const ExecTimeModel& model,
 std::vector<SweepCaseResult> SweepRunner::run(const SweepSpec& spec) const {
   ST_CHECK_MSG(spec.threads >= 0,
                "thread count must be >= 0, got " << spec.threads);
+  ST_CHECK_MSG(spec.config.executor == nullptr,
+               "SweepSpec::config.executor must be null: the runner owns the "
+               "executor (set SweepSpec::threads)");
   ST_CHECK_MSG(spec.traces.empty() || spec.scenarios.empty(),
                "set either SweepSpec::traces or SweepSpec::scenarios, "
                "not both");
@@ -158,8 +155,7 @@ std::vector<SweepCaseResult> SweepRunner::run(const SweepSpec& spec) const {
   const std::vector<Machine> machines = build_machines(spec);
   const std::size_t n = spec.num_cases();
   std::vector<SweepCaseResult> results = prefill_cases(spec, machines);
-  std::unique_ptr<ThreadPoolExecutor> owned;
-  Executor* exec = resolve_spec_executor(spec, n, owned);
+  const std::unique_ptr<ThreadPoolExecutor> pool = make_spec_pool(spec, n);
 
   // A fault plan gives every case a private injector (per-point attempt
   // state must not be shared across concurrently running cases).
@@ -174,11 +170,10 @@ std::vector<SweepCaseResult> SweepRunner::run(const SweepSpec& spec) const {
 
   // One batch over the grid: each case writes into its preallocated slot,
   // so the result vector's order never depends on scheduling. The case's
-  // pipeline inherits the same executor (nested batches are safe) unless
-  // the spec's config already names one.
+  // pipeline inherits the same executor (nested batches are safe).
   ManagerConfig case_config = spec.config;
-  if (case_config.executor == nullptr) case_config.executor = exec;
-  resolve_executor(exec).parallel_for(n, [&](std::size_t i) {
+  case_config.executor = pool.get();
+  resolve_executor(pool.get()).parallel_for(n, [&](std::size_t i) {
     SweepCaseResult& r = results[i];
     ManagerConfig config = case_config;
     if (!injectors.empty()) config.injector = injectors[i].get();
@@ -194,8 +189,7 @@ SweepRunReport SweepRunner::run_supervised(const SweepSpec& spec) const {
   const std::vector<Machine> machines = build_machines(spec);
   const std::size_t n = spec.num_cases();
   std::vector<SweepCaseResult> results = prefill_cases(spec, machines);
-  std::unique_ptr<ThreadPoolExecutor> owned;
-  Executor* exec = resolve_spec_executor(spec, n, owned);
+  const std::unique_ptr<ThreadPoolExecutor> pool = make_spec_pool(spec, n);
 
   // Replay the journal (if any) before launching anything: finished cases
   // take their recorded result verbatim and are never re-executed.
@@ -224,8 +218,8 @@ SweepRunReport SweepRunner::run_supervised(const SweepSpec& spec) const {
   std::vector<CaseCounters> counters(n);
 
   ManagerConfig case_config = spec.config;
-  if (case_config.executor == nullptr) case_config.executor = exec;
-  resolve_executor(exec).parallel_for(n, [&](std::size_t i) {
+  case_config.executor = pool.get();
+  resolve_executor(pool.get()).parallel_for(n, [&](std::size_t i) {
     if (done[i] != 0) return;
     SweepCaseResult& r = results[i];
     CaseCounters& c = counters[i];
@@ -354,6 +348,10 @@ std::vector<std::string> sweep_spec_problems(const SweepSpec& spec) {
   if (spec.threads < 0)
     problems.push_back("threads must be >= 0, got " +
                        std::to_string(spec.threads));
+  if (spec.config.executor != nullptr)
+    problems.emplace_back(
+        "config.executor must be null — the runner owns the executor (set "
+        "threads)");
   if (spec.fault_plan != nullptr && spec.config.injector != nullptr)
     problems.emplace_back(
         "set either SweepSpec::fault_plan or config.injector, not both");

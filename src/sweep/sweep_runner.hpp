@@ -13,9 +13,9 @@
 /// read-only — the output *values* are byte-identical to a serial run
 /// regardless of thread count or scheduling.
 ///
-/// The executor is also handed to every case's AdaptationPipeline (unless
-/// the spec's config already names one), so candidate evaluation inside a
-/// case nests its batches on the same shared pool.
+/// The runner owns that executor (SweepSpec::threads sizes it), and hands
+/// it to every case's AdaptationPipeline and workload, so candidate
+/// evaluation inside a case nests its batches on the same pool.
 ///
 /// Machines are constructed once, up front, on the calling thread; workers
 /// only ever call const members of Machine / ExecTimeModel /
@@ -96,15 +96,13 @@ struct SweepSpec {
   std::vector<SweepMachine> machines;
   std::vector<std::string> strategies;  ///< StrategyRegistry names.
   /// Shared pipeline tunables; the strategy field is overridden per case.
+  /// config.executor must stay null: the runner sets it to its own pool.
   ManagerConfig config;
-  /// Worker threads for the runner-owned pool; 0 = default_thread_count()
+  /// The sweep's only thread setting: worker threads of the runner-owned
+  /// pool every case and its pipeline run on; 0 = default_thread_count()
   /// (hardware concurrency, or the STORMTRACK_THREADS env override), 1 =
-  /// serial in-thread execution (no pool). Ignored when \ref executor is
-  /// set.
+  /// serial in-thread execution (no pool).
   int threads = 0;
-  /// Run on this shared executor instead of a runner-owned pool (must
-  /// outlive the run). Null = owned pool per \ref threads.
-  Executor* executor = nullptr;
   /// When set, every case runs under fault injection: each grid cell gets
   /// its OWN FaultInjector built from this plan (the injector carries
   /// per-point attempt state, so sharing one across concurrent cases would
@@ -193,9 +191,10 @@ class SweepRunner {
 /// when the spec is valid. Checked: empty axes, traces vs scenarios
 /// exclusivity, unknown workload names, duplicate axis-point names,
 /// unknown strategies, null machine factories, negative thread counts,
-/// fault_plan vs config.injector exclusivity, config.cancel set under
-/// supervision (the supervisor owns the token), negative deadlines /
-/// backoff, max_attempts < 1, and resume without a journal.
+/// config.executor set (the runner owns the executor), fault_plan vs
+/// config.injector exclusivity, config.cancel set under supervision (the
+/// supervisor owns the token), negative deadlines / backoff,
+/// max_attempts < 1, and resume without a journal.
 [[nodiscard]] std::vector<std::string> sweep_spec_problems(
     const SweepSpec& spec);
 
@@ -205,8 +204,8 @@ void validate_sweep_spec(const SweepSpec& spec);
 
 /// Fingerprint binding a journal to the grid it indexes: axis-point names,
 /// full trace contents, strategy list, the result-affecting ManagerConfig
-/// fields, and the fault plan. Execution knobs (threads, executor,
-/// supervision) are excluded — changing them must not orphan a journal.
+/// fields, and the fault plan. Execution knobs (threads, supervision) are
+/// excluded — changing them must not orphan a journal.
 [[nodiscard]] std::uint64_t sweep_spec_fingerprint(const SweepSpec& spec);
 
 /// The result for (\p trace, \p machine, \p strategy) by axis-point name;

@@ -343,6 +343,46 @@ TEST_F(ResumeTest, CheckpointNowReturnsTheRecordedFingerprint) {
   EXPECT_NE(guarded, written);
 }
 
+TEST_F(ResumeTest, CheckpointNowAtTheResumedStepWritesNothing) {
+  // A run resumed at its final interval (or interrupted before its first
+  // resumed interval) calls checkpoint_now where it resumed: that
+  // checkpoint is on disk already, so nothing is rewritten or counted, and
+  // the fingerprint it hands back is the recorded one.
+  CoupledConfig config;
+  config.scenario.num_intervals = 3;
+  config.scenario.seed = 31;
+  const std::uint64_t fp = coupled_config_fingerprint(machine_, config);
+  CheckpointPolicy policy;
+  policy.dir = dir_;
+  policy.keep = 0;
+
+  CoupledCheckpointer ref_hook(policy, fp);
+  CoupledConfig ref_config = config;
+  ref_config.hook = &ref_hook;
+  CoupledSimulation reference(machine_, models_.model, models_.truth,
+                              ref_config);
+  for (int i = 0; i < 3; ++i) reference.advance();
+  const std::uint64_t expected = ref_hook.checkpoint_now(reference);
+  const std::int64_t expected_writes =
+      reference.metrics().get("ckpt.writes").count;
+  ASSERT_EQ(expected_writes, 3);
+  const fs::file_time_type written_at =
+      fs::last_write_time(checkpoint_file_path(dir_, 3));
+
+  CoupledCheckpointer res_hook(policy, fp);
+  CoupledConfig res_config = config;
+  res_config.hook = &res_hook;
+  CoupledSimulation resumed(machine_, models_.model, models_.truth,
+                            res_config);
+  const ResumeReport report = resume_coupled(resumed, dir_, fp);
+  ASSERT_TRUE(report.resumed);
+  ASSERT_EQ(report.step, 3);
+  EXPECT_EQ(res_hook.checkpoint_now(resumed), expected);
+  EXPECT_EQ(res_hook.writes(), 0);
+  EXPECT_EQ(resumed.metrics().get("ckpt.writes").count, expected_writes);
+  EXPECT_EQ(fs::last_write_time(checkpoint_file_path(dir_, 3)), written_at);
+}
+
 TEST_F(ResumeTest, EmptyDirectoryMeansNoResume) {
   CoupledConfig config;
   config.scenario.num_intervals = 2;

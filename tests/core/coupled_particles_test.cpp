@@ -41,7 +41,7 @@ TEST(CoupledParticles, SerialAndEightThreadRunsAreBitIdentical) {
                            particle_config());
   ThreadPoolExecutor pool(8);
   CoupledConfig threaded_cfg = particle_config();
-  threaded_cfg.executor = &pool;
+  threaded_cfg.manager.executor = &pool;
   CoupledSimulation threaded(machine, models.model, models.truth,
                              threaded_cfg);
 

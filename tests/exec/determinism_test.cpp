@@ -210,11 +210,6 @@ TEST(Determinism, FullSweepGridIdenticalAcrossExecutors) {
     SweepSpec spec = make_spec();
     spec.threads = threads;
     EXPECT_EQ(fingerprint(runner.run(spec)), serial);
-    // Caller-shared executor path.
-    ThreadPoolExecutor pool(threads);
-    SweepSpec shared = make_spec();
-    shared.executor = &pool;
-    EXPECT_EQ(fingerprint(runner.run(shared)), serial);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/check.hpp"
@@ -95,6 +96,8 @@ TEST(ThreadPoolExecutor, LowestFailingIndexExceptionSurfacesAndPoolSurvives) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 50);
+  // A failed batch still counts as completed.
+  EXPECT_EQ(exec.stats().batches, 4);
 }
 
 TEST(ThreadPoolExecutor, NestedParallelForDoesNotDeadlock) {
@@ -106,6 +109,50 @@ TEST(ThreadPoolExecutor, NestedParallelForDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 64);
+  EXPECT_EQ(exec.stats().batches, 8 + 1);  // nested batches count too
+}
+
+TEST(ThreadPoolExecutor, MatchesSerialByteForByte) {
+  ThreadPoolExecutor pool(4);
+  SerialExecutor serial;
+  const std::size_t n = 257;
+  const auto f = [](std::size_t i) {
+    // Nontrivial floating point: any reordering of these operations would
+    // change bits.
+    double x = static_cast<double>(i) + 0.1;
+    for (int k = 0; k < 20; ++k) x = x * 1.0000001 + 1e-9;
+    return x;
+  };
+  EXPECT_EQ(pool.map_indexed<double>(n, f), serial.map_indexed<double>(n, f));
+}
+
+TEST(ThreadPoolExecutor, ManyConcurrentSubmittersGetIndependentResults) {
+  // The daemon's shape: several session-driving threads submit batches
+  // into one pool concurrently; every submitter must observe exactly its
+  // own serial-identical results.
+  ThreadPoolExecutor pool(3);
+  SerialExecutor serial;
+  constexpr int kSubmitters = 6;
+  const std::size_t n = 64;
+  const auto f = [](int s) {
+    return [s](std::size_t i) {
+      return static_cast<double>(s * 1000) + static_cast<double>(i) * 1.25;
+    };
+  };
+  std::vector<std::vector<double>> results(kSubmitters);
+  std::vector<std::thread> threads;
+  threads.reserve(kSubmitters);
+  for (int s = 0; s < kSubmitters; ++s)
+    threads.emplace_back(
+        [&, s] { results[s] = pool.map_indexed<double>(n, f(s)); });
+  for (std::thread& t : threads) t.join();
+  for (int s = 0; s < kSubmitters; ++s)
+    EXPECT_EQ(results[s], serial.map_indexed<double>(n, f(s)))
+        << "submitter " << s;
+  const ExecutorStats stats = pool.stats();
+  EXPECT_EQ(stats.batches, kSubmitters);
+  EXPECT_EQ(stats.tasks, static_cast<std::int64_t>(kSubmitters) *
+                             static_cast<std::int64_t>(n));
 }
 
 TEST(ThreadPoolExecutor, StatsCountTasksAndBatches) {

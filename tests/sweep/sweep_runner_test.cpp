@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "exec/executor.hpp"
 #include "util/check.hpp"
 
 namespace stormtrack {
@@ -120,6 +123,22 @@ TEST(SweepRunner, UnknownStrategyRejectedBeforeAnyWorkRuns) {
   spec.machines.push_back(sweep_bluegene(256));
   spec.strategies = {"diffusion", "not-a-strategy"};
   EXPECT_THROW((void)SweepRunner(models).run(spec), CheckError);
+}
+
+TEST(SweepRunner, ExecutorInSpecConfigIsRefused) {
+  // The runner owns the executor; SweepSpec::threads is the only knob.
+  const ModelStack models;
+  SerialExecutor serial;
+  SweepSpec spec = small_grid();
+  spec.config.executor = &serial;
+  try {
+    (void)SweepRunner(models).run(spec);
+    FAIL() << "a spec naming its own executor must be refused";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("config.executor must be null"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SweepRunner, EmptyGridYieldsNoResults) {

@@ -8,6 +8,7 @@
 #include "sweep/sweep_journal.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "exec/cancel.hpp"
+#include "exec/executor.hpp"
 #include "util/check.hpp"
 
 namespace stormtrack {
@@ -220,13 +221,15 @@ TEST_F(SweepSupervisorTest, SpecProblemsAreReportedPerField) {
   spec.threads = -2;
   CancelToken token;
   spec.config.cancel = &token;
+  SerialExecutor serial;
+  spec.config.executor = &serial;
   spec.supervision.case_deadline_seconds = -1.0;
   spec.supervision.max_attempts = 0;
   spec.supervision.backoff_seconds = -0.5;
   spec.supervision.resume = true;  // without a journal
 
   const std::vector<std::string> problems = sweep_spec_problems(spec);
-  ASSERT_EQ(problems.size(), 9u);
+  ASSERT_EQ(problems.size(), 10u);
   const std::string all = [&] {
     std::string joined;
     for (const std::string& p : problems) joined += p + "\n";
@@ -237,6 +240,7 @@ TEST_F(SweepSupervisorTest, SpecProblemsAreReportedPerField) {
   EXPECT_NE(all.find("'null-factory' has no factory"), std::string::npos);
   EXPECT_NE(all.find("threads must be >= 0"), std::string::npos);
   EXPECT_NE(all.find("config.cancel must be null"), std::string::npos);
+  EXPECT_NE(all.find("config.executor must be null"), std::string::npos);
   EXPECT_NE(all.find("case_deadline_seconds must be >= 0"), std::string::npos);
   EXPECT_NE(all.find("max_attempts must be >= 1"), std::string::npos);
   EXPECT_NE(all.find("backoff_seconds must be >= 0"), std::string::npos);
@@ -247,7 +251,7 @@ TEST_F(SweepSupervisorTest, SpecProblemsAreReportedPerField) {
     validate_sweep_spec(spec);
     FAIL() << "invalid spec must be rejected";
   } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("invalid sweep spec (9 problems)"),
+    EXPECT_NE(std::string(e.what()).find("invalid sweep spec (10 problems)"),
               std::string::npos);
   }
   EXPECT_THROW((void)SweepRunner(models_).run_supervised(spec), CheckError);
