@@ -127,7 +127,7 @@ int main() {
   const Machine fist = Machine::fist_cluster(256);
   ManagerConfig mcfg;
   mcfg.strategy = "diffusion";
-  ReallocationManager manager(fist, models.model, models.truth, mcfg);
+  AdaptationPipeline manager(fist, models.model, models.truth, mcfg);
 
   PdaConfig pda_cfg;
   pda_cfg.analysis_procs = 16;

@@ -47,7 +47,6 @@ int main() {
 
   // --- 3. Redistribution cost on a simulated Blue Gene/L ---------------
   const Machine bgl = Machine::bluegene(1024);
-  const Redistributor redist(bgl.comm());
 
   Table cmp({"Strategy", "Redist time (ms)", "Hop-bytes (MB·hop)",
              "Avg hops/byte", "Overlap %"});
@@ -59,11 +58,11 @@ int main() {
     for (const NestId nest : {3, 5}) {
       const NestShape shape =
           nest == 3 ? NestShape{202, 349} : NestShape{349, 349};
-      const RedistMetrics m =
-          redist.redistribute(shape, *before.find(nest),
-                              *alloc->find(nest), bgl.grid_px());
-      traffic += m.traffic;
-      overlap_points += m.overlap_fraction * m.total_points;
+      const RedistCostSummary m = redistribution_cost(
+          shape, *before.find(nest), *alloc->find(nest), bgl.grid_px(),
+          kDefaultBytesPerPoint, &bgl.comm());
+      traffic += m.traffic();
+      overlap_points += m.overlap_fraction() * m.total_points;
       total_points += static_cast<double>(m.total_points);
     }
     cmp.add_row({name, Table::num(traffic.modeled_time * 1e3, 3),

@@ -57,15 +57,14 @@ int main() {
          {static_cast<const Mapping*>(&folding),
           static_cast<const Mapping*>(&row_major),
           static_cast<const Mapping*>(&random)}) {
-      SimComm comm(torus, *m);
-      Redistributor redist(comm);
-      const RedistMetrics metrics =
-          redist.redistribute(c.nest, c.old_rect, c.new_rect, 32);
-      t.add_row({c.name, m->name(),
-                 Table::num(metrics.traffic.modeled_time * 1e3, 3),
-                 Table::num(metrics.traffic.avg_hops_per_byte(), 2),
-                 Table::num(static_cast<std::int64_t>(
-                     metrics.traffic.max_hops))});
+      const SimComm comm(torus, *m);
+      const TrafficReport traffic =
+          redistribution_cost(c.nest, c.old_rect, c.new_rect, 32,
+                              kDefaultBytesPerPoint, &comm)
+              .traffic();
+      t.add_row({c.name, m->name(), Table::num(traffic.modeled_time * 1e3, 3),
+                 Table::num(traffic.avg_hops_per_byte(), 2),
+                 Table::num(static_cast<std::int64_t>(traffic.max_hops))});
     }
   }
   t.set_title("Redistribution cost by mapping (1024-node 3D torus)");
@@ -78,13 +77,14 @@ int main() {
   for (const Case& c : kCases) {
     for (const Mapping* m : {static_cast<const Mapping*>(&row_major),
                              static_cast<const Mapping*>(&random)}) {
-      SimComm comm(fist, *m);
-      Redistributor redist(comm);
-      const RedistMetrics metrics =
-          redist.redistribute(c.nest, c.old_rect, c.new_rect, 32);
+      const SimComm comm(fist, *m);
+      const TrafficReport traffic =
+          redistribution_cost(c.nest, c.old_rect, c.new_rect, 32,
+                              kDefaultBytesPerPoint, &comm)
+              .traffic();
       t2.add_row({c.name, m->name(),
-                  Table::num(metrics.traffic.modeled_time * 1e3, 3),
-                  Table::num(metrics.traffic.avg_hops_per_byte(), 2)});
+                  Table::num(traffic.modeled_time * 1e3, 3),
+                  Table::num(traffic.avg_hops_per_byte(), 2)});
     }
   }
   t2.set_title("Same cases on the switched (fist-like) network");

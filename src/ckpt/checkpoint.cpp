@@ -764,7 +764,11 @@ void add_fingerprint(Fingerprint& fp, const Machine& machine) {
 void add_fingerprint(Fingerprint& fp, const ManagerConfig& config) {
   fp.add(config.strategy_options.hysteresis_threshold);
   fp.add(config.steps_per_interval);
-  fp.add(config.bytes_per_point);
+  // No setting changes the bytes per point the pipeline prices, but the
+  // constant stays hashed in this slot: dropping it would change every
+  // config fingerprint, and existing checkpoints and sweep journals would
+  // no longer bind.
+  fp.add(kDefaultBytesPerPoint);
   fp.add(config.initial_view_px);
   fp.add(config.initial_view_py);
   fp.add(static_cast<std::int64_t>(config.resize_schedule.size()));

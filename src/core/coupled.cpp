@@ -41,8 +41,6 @@ CoupledSimulation::CoupledSimulation(const Machine& machine,
       config_(with_shared_injector(std::move(config))),
       driver_(config_.scenario),
       manager_(machine, model, truth, without_cancel(config_.manager)),
-      redistributor_(machine.comm(), config_.manager.bytes_per_point,
-                     config_.manager.injector),
       workload_(WorkloadRegistry::global().create(
           config_.workload,
           WorkloadParams{config_.nest_dynamics, config_.particles})) {}
@@ -52,7 +50,7 @@ WorkloadEnv CoupledSimulation::workload_env(TrafficReport* data_movement) {
   env.comm = &machine_->comm();
   env.grid_px = machine_->grid_px();
   env.weather = &driver_.weather();
-  env.redistributor = &redistributor_;
+  env.payload_faults = config_.manager.injector;
   env.metrics = &manager_.metrics();
   env.executor = config_.manager.executor;
   env.data_movement = data_movement;

@@ -150,7 +150,6 @@ class CoupledSimulation {
   CoupledConfig config_;
   RealScenarioDriver driver_;
   AdaptationPipeline manager_;
-  Redistributor redistributor_;
   std::unique_ptr<INestWorkload> workload_;
   std::map<int, Rect> previous_rects_;  ///< Processor rects before realloc.
   int interval_ = 0;

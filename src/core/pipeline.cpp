@@ -294,7 +294,7 @@ void AdaptationPipeline::stage_build_candidates(PipelineContext& ctx,
                    "retained nest " << nest.id << " missing an allocation");
       c.costs.push_back(cache.price(scope_, nest.shape, *old_rect,
                                     *new_rect, machine_->grid_px(),
-                                    config_.bytes_per_point,
+                                    kDefaultBytesPerPoint,
                                     &machine_->comm()));
       c.overlap_points += c.costs.back().overlap_points;
       c.total_points += c.costs.back().total_points;
@@ -496,7 +496,7 @@ void AdaptationPipeline::reallocate_on_view(const std::string& metric_prefix) {
                  "nest " << nest_id << " missing from the active map");
     const RedistCostSummary cost = redistribution_cost(
         spec->second.shape, *old_rect, new_rect, machine_->grid_px(),
-        config_.bytes_per_point);
+        kDefaultBytesPerPoint);
     total_points += cost.total_points;
     overlap_points += cost.overlap_points;
   }

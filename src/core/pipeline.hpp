@@ -109,8 +109,6 @@ struct ManagerConfig {
   /// paper invokes PDA every 2 simulation minutes, and a 4 km nest steps
   /// ~24 simulated seconds at a time — 5 steps per interval.
   int steps_per_interval = 5;
-  /// Nest state bytes per fine-grid point (see redistributor.hpp).
-  int bytes_per_point = kDefaultBytesPerPoint;
   /// Where candidate pricings are memoized (pricing_cache.hpp); null
   /// means the pipeline's own instance. A non-null cache is shared with
   /// other pipelines on the same machine model, so they warm each other;
@@ -355,9 +353,5 @@ class AdaptationPipeline {
   mutable PricingCache own_cache_{1 << 16};
   std::uint64_t scope_ = 0;  ///< machine_->fingerprint(), every key's scope.
 };
-
-/// Historical name of the pipeline (pre-refactor API); kept as an alias so
-/// embedding code reads either way.
-using ReallocationManager = AdaptationPipeline;
 
 }  // namespace stormtrack

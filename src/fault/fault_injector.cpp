@@ -60,25 +60,6 @@ SplitReadFault FaultInjector::check_split_read(int file_rank) {
   return result;
 }
 
-void FaultInjector::inject_split_read(int file_rank) {
-  switch (check_split_read(file_rank)) {
-    case SplitReadFault::kNone:
-      return;
-    case SplitReadFault::kTransient: {
-      std::ostringstream os;
-      os << "injected transient split-file read failure for rank " << file_rank
-         << " (truncated read)";
-      throw FaultError(FaultKind::kSplitReadTransient, true, os.str());
-    }
-    case SplitReadFault::kPermanent: {
-      std::ostringstream os;
-      os << "injected permanent split-file read failure for rank " << file_rank
-         << " (missing or corrupt file)";
-      throw FaultError(FaultKind::kSplitReadPermanent, false, os.str());
-    }
-  }
-}
-
 void FaultInjector::guard_task(std::string_view site, std::size_t index) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {

@@ -77,9 +77,6 @@ class FaultInjector final : public PayloadFaultHook {
   /// call; permanent/corrupt events always fire.
   [[nodiscard]] SplitReadFault check_split_read(int file_rank);
 
-  /// check_split_read + throw FaultError when the read should fail.
-  void inject_split_read(int file_rank);
-
   /// Throw FaultError if a task fault is scheduled for (site, index) at the
   /// current point. attempts=0 events always fire; attempts>0 events fire
   /// that many executions (ladder retries re-run the batch).

@@ -458,31 +458,11 @@ RedistCostSummary redistribution_cost(const NestShape& nest,
   return s;
 }
 
-Redistributor::Redistributor(const SimComm& comm, int bytes_per_point,
-                             PayloadFaultHook* faults)
-    : comm_(&comm), bytes_per_point_(bytes_per_point), faults_(faults) {
-  ST_CHECK_MSG(bytes_per_point > 0, "bytes_per_point must be positive");
-}
-
-RedistMetrics Redistributor::redistribute(const NestShape& nest,
-                                          const Rect& old_rect,
-                                          const Rect& new_rect,
-                                          int grid_px) const {
-  const RedistCostSummary cost = redistribution_cost(
-      nest, old_rect, new_rect, grid_px, bytes_per_point_, comm_);
-  RedistMetrics m;
-  m.traffic = cost.traffic();
-  m.overlap_fraction = cost.overlap_fraction();
-  m.total_points = cost.total_points;
-  return m;
-}
-
-Grid2D<double> Redistributor::redistribute_field(const Grid2D<double>& field,
-                                                 const Rect& old_rect,
-                                                 const Rect& new_rect,
-                                                 int grid_px,
-                                                 RedistMetrics* metrics)
-    const {
+Grid2D<double> redistribute_field(const SimComm& comm,
+                                  const Grid2D<double>& field,
+                                  const Rect& old_rect, const Rect& new_rect,
+                                  int grid_px, PayloadFaultHook* faults,
+                                  TrafficReport* traffic) {
   const NestShape nest{field.width(), field.height()};
 
   // Build typed messages: one per intersecting (sender region, receiver
@@ -492,11 +472,9 @@ Grid2D<double> Redistributor::redistribute_field(const Grid2D<double>& field,
   std::vector<TypedMessage<double>> msgs;
   msgs.reserve(static_cast<std::size_t>(
       count_redist_messages(nest, old_rect, new_rect, grid_px)));
-  std::int64_t overlap_points = 0;
   for_each_redist_block(
       nest, old_rect, new_rect, grid_px,
       [&](int sender, int receiver, const Rect& inter) {
-        if (sender == receiver) overlap_points += inter.area();
         TypedMessage<double> m;
         m.src = sender;
         m.dst = receiver;
@@ -511,7 +489,8 @@ Grid2D<double> Redistributor::redistribute_field(const Grid2D<double>& field,
         msgs.push_back(std::move(m));
       });
 
-  const ExchangeResult<double> ex = exchange(std::move(msgs));
+  const ExchangeResult<double> ex =
+      exchange_payloads(comm, std::move(msgs), faults);
 
   // Reassemble the field from delivered blocks (grouped by destination;
   // placement only needs every block once, in any deterministic order).
@@ -545,13 +524,7 @@ Grid2D<double> Redistributor::redistribute_field(const Grid2D<double>& field,
                        std::bit_cast<std::uint64_t>(field(x, y)),
                    "redistribution integrity violated at (" << x << ", " << y
                                                             << ")");
-  if (metrics != nullptr) {
-    metrics->traffic = ex.traffic;
-    metrics->total_points = static_cast<std::int64_t>(nest.nx) * nest.ny;
-    metrics->overlap_fraction =
-        static_cast<double>(overlap_points) /
-        static_cast<double>(metrics->total_points);
-  }
+  if (traffic != nullptr) *traffic = ex.traffic;
   return out;
 }
 

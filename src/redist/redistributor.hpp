@@ -9,8 +9,8 @@
 /// processors that are neither senders nor receivers contributing zero
 /// counts — exactly the scheme the paper implements inside WRF. This module
 /// computes the sparse message matrix, the paper's Fig. 10/11 metrics
-/// (hop-bytes and sender/receiver data-point overlap), and can execute the
-/// exchange with real payloads for end-to-end validation.
+/// (hop-bytes and sender/receiver data-point overlap), and moves a nest
+/// field with real payloads.
 ///
 /// Prediction vs movement: an adaptation point only needs aggregate costs,
 /// both for the §IV-C-1 *prediction* and for the *ground truth* the
@@ -27,8 +27,14 @@
 /// bit-identical to the materialized totals. No production path builds a
 /// message plan: plan_redistribution() remains as the test oracle (with
 /// redistribution_cost_dense(), the retained dense reference walk) and for
-/// the micro-benches, and redistribute_field() moves real payloads for
-/// end-to-end validation.
+/// the micro-benches.
+///
+/// Pricing and payload moves are free functions over a communicator:
+/// redistribution_cost(…, &comm) prices a move,
+/// redistribute_field(comm, …) moves a nest field (the field workload's
+/// move_nest), and workloads with their own payload layout call
+/// exchange_payloads (simmpi/simcomm.hpp) directly. Every production
+/// pricing uses kDefaultBytesPerPoint.
 
 #include <atomic>
 #include <cstdint>
@@ -236,62 +242,17 @@ struct RedistCostSummary {
     int grid_px, int bytes_per_point = kDefaultBytesPerPoint,
     const SimComm* comm = nullptr);
 
-/// Outcome of pricing/executing one redistribution phase.
-struct RedistMetrics {
-  TrafficReport traffic;            ///< Time/bytes/hop-bytes of the phase.
-  double overlap_fraction = 0.0;    ///< Fig. 11 metric.
-  std::int64_t total_points = 0;
-};
-
-/// Prices redistribution phases on a bound communicator.
-class Redistributor {
- public:
-  /// \p comm (and \p faults when set) must outlive the redistributor. An
-  /// injected payload fault surfaces as a CheckError from
-  /// redistribute_field's conservation/integrity checks — dropped blocks
-  /// fail conservation, corrupted blocks fail the bit-exact comparison
-  /// against the source field.
-  explicit Redistributor(const SimComm& comm,
-                         int bytes_per_point = kDefaultBytesPerPoint,
-                         PayloadFaultHook* faults = nullptr);
-
-  /// Price the move of one nest between processor rectangles on the bound
-  /// communicator (streaming; no message plan is built).
-  [[nodiscard]] RedistMetrics redistribute(const NestShape& nest,
-                                           const Rect& old_rect,
-                                           const Rect& new_rect,
-                                           int grid_px) const;
-
-  /// Payload-carrying variant for end-to-end validation: \p field is the
-  /// nest's global field; the function scatters it by the old decomposition,
-  /// executes the typed exchange, reassembles from received messages, and
-  /// returns the reassembled field (callers assert equality with \p field).
-  [[nodiscard]] Grid2D<double> redistribute_field(const Grid2D<double>& field,
-                                                  const Rect& old_rect,
-                                                  const Rect& new_rect,
-                                                  int grid_px,
-                                                  RedistMetrics* metrics =
-                                                      nullptr) const;
-
-  /// Payload-agnostic move-buffer seam: execute one typed exchange phase on
-  /// the bound communicator, under the bound fault hook. The redistributor
-  /// knows nothing about the payload layout — workloads (wsim/workload.hpp)
-  /// pack their own (sender, receiver, buffer) messages and detect loss or
-  /// damage themselves (conservation counts, trailing checksums), exactly
-  /// like redistribute_field, which is built on this same seam.
-  template <typename T>
-  [[nodiscard]] ExchangeResult<T> exchange(
-      std::vector<TypedMessage<T>> msgs) const {
-    return exchange_payloads(*comm_, std::move(msgs), faults_);
-  }
-
-  [[nodiscard]] int bytes_per_point() const { return bytes_per_point_; }
-  [[nodiscard]] const SimComm& comm() const { return *comm_; }
-
- private:
-  const SimComm* comm_;
-  int bytes_per_point_;
-  PayloadFaultHook* faults_;
-};
+/// Move one nest's global \p field from \p old_rect to \p new_rect over
+/// \p comm, as real payloads: scatter it by the old decomposition, run the
+/// typed exchange (exchange_payloads, under \p faults when set), reassemble
+/// from the delivered messages and return the reassembled field. An injected
+/// payload fault surfaces as a CheckError from the conservation/integrity
+/// checks: dropped blocks fail conservation, corrupted blocks fail the
+/// bit-exact comparison against the source field. When \p traffic is set it
+/// receives the exchange's accounting.
+[[nodiscard]] Grid2D<double> redistribute_field(
+    const SimComm& comm, const Grid2D<double>& field, const Rect& old_rect,
+    const Rect& new_rect, int grid_px, PayloadFaultHook* faults = nullptr,
+    TrafficReport* traffic = nullptr);
 
 }  // namespace stormtrack

@@ -9,7 +9,6 @@
 #include "exec/executor.hpp"
 #include "fault/snapshot.hpp"
 #include "redist/block_decomp.hpp"
-#include "redist/redistributor.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
@@ -143,7 +142,7 @@ void ParticleWorkload::move_nest(int id, const Rect& old_rect,
 
   // Every particle whose owning rank changes under the new rectangle is
   // shipped (id + position) from old owner to new owner, grouped into one
-  // message per (sender, receiver) pair — the redistributor executes the
+  // message per (sender, receiver) pair — exchange_payloads executes the
   // phase under the fault hook exactly as it does for field blocks.
   std::map<std::pair<int, int>, std::vector<std::size_t>> moved;
   for (std::size_t i = 0; i < nest.particles.size(); ++i) {
@@ -178,7 +177,7 @@ void ParticleWorkload::move_nest(int id, const Rect& old_rect,
 
   if (!msgs.empty()) {
     const ExchangeResult<double> ex =
-        env.redistributor->exchange(std::move(msgs));
+        exchange_payloads(*env.comm, std::move(msgs), env.payload_faults);
     apply_delivered(nest, ex, sent, "realloc move");
     if (env.data_movement != nullptr) *env.data_movement += ex.traffic;
   }
@@ -279,7 +278,7 @@ TrafficReport ParticleWorkload::integrate(int id, const Rect& proc_rect,
       msgs.push_back(std::move(m));
     }
     const ExchangeResult<double> ex =
-        env.redistributor->exchange(std::move(msgs));
+        exchange_payloads(*env.comm, std::move(msgs), env.payload_faults);
     apply_delivered(nest, ex, sent, "sub-step handoff");
     traffic += ex.traffic;
   }

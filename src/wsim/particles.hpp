@@ -12,8 +12,8 @@
 /// whose block of the nest's processor rectangle contains it. A particle
 /// crossing a block boundary is handed off to the new owner: the handoff
 /// payloads (id + position, plus a trailing FNV checksum element) move as
-/// real typed messages through the redistributor's payload-agnostic
-/// exchange seam, so injected payload faults strike particle traffic
+/// real typed messages through the payload-agnostic exchange seam
+/// (exchange_payloads), so injected payload faults strike particle traffic
 /// exactly as they strike field redistribution — a dropped message fails
 /// count conservation, a corrupted one fails the checksum, both surface as
 /// CheckError for the engine's reinit path.

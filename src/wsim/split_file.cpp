@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <fstream>
 
-#include "fault/fault_injector.hpp"
 #include "redist/block_decomp.hpp"
 #include "util/check.hpp"
 
@@ -81,9 +80,7 @@ void save_split_file(const SplitFile& f, const std::filesystem::path& dir) {
   ST_CHECK_MSG(os.good(), "failed writing split file for rank " << f.rank);
 }
 
-SplitFile load_split_file(const std::filesystem::path& dir, int rank,
-                          FaultInjector* faults) {
-  if (faults != nullptr) faults->inject_split_read(rank);
+SplitFile load_split_file(const std::filesystem::path& dir, int rank) {
   std::ifstream is(file_path(dir, rank), std::ios::binary);
   ST_CHECK_MSG(is.is_open(), "cannot open split file for rank " << rank);
   std::uint32_t magic = 0;
@@ -92,6 +89,26 @@ SplitFile load_split_file(const std::filesystem::path& dir, int rank,
   std::int32_t header[6] = {};
   is.read(reinterpret_cast<char*>(header), sizeof header);
   ST_CHECK_MSG(is.good(), "truncated split file header for rank " << rank);
+  ST_CHECK_MSG(header[0] == rank, "split file for rank "
+                                      << rank << " holds rank " << header[0]);
+  ST_CHECK_MSG(header[1] >= 1, "split file for rank "
+                                   << rank << " has grid_px " << header[1]);
+  ST_CHECK_MSG(header[2] >= 0 && header[3] >= 0 && header[4] >= 0 &&
+                   header[5] >= 0,
+               "split file for rank " << rank << " has negative subdomain");
+  // Both tiles (two int32 sizes and w·h doubles each) must fit in what is
+  // left of the file; w·h < 2^62 fits a uint64_t, 16·w·h may not.
+  const std::streamoff here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff left = is.tellg() - here;
+  is.seekg(here);
+  const std::uint64_t area = static_cast<std::uint64_t>(header[4]) *
+                             static_cast<std::uint64_t>(header[5]);
+  ST_CHECK_MSG(is.good() && left >= 16 &&
+                   area <= (static_cast<std::uint64_t>(left) - 16) / 16,
+               "split file for rank " << rank << " is too short for its "
+                                      << header[4] << "x" << header[5]
+                                      << " subdomain");
   SplitFile f;
   f.rank = header[0];
   f.grid_px = header[1];

@@ -19,8 +19,6 @@
 
 namespace stormtrack {
 
-class FaultInjector;
-
 /// One process's simulation output for one time step.
 struct SplitFile {
   int rank = 0;          ///< Writing rank (row-major on the Px×Py grid).
@@ -42,11 +40,11 @@ struct SplitFile {
 /// Serialize one split file to <dir>/wrfout_d01_<rank>.bin.
 void save_split_file(const SplitFile& f, const std::filesystem::path& dir);
 
-/// Deserialize a split file previously written by save_split_file. When
-/// \p faults is set, its scheduled read failures for \p rank fire first
-/// (as FaultError), before the file is touched.
+/// Deserialize a split file previously written by save_split_file. The
+/// header must name \p rank, a positive grid width and a non-negative
+/// subdomain whose two tiles fit in the file; anything else throws
+/// CheckError naming \p rank before a tile is allocated.
 [[nodiscard]] SplitFile load_split_file(const std::filesystem::path& dir,
-                                        int rank,
-                                        FaultInjector* faults = nullptr);
+                                        int rank);
 
 }  // namespace stormtrack

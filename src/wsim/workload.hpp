@@ -11,10 +11,10 @@
 ///  * per-nest state creation on insert (initialized from the parent
 ///    model — interpolation for fields, seeding for particles);
 ///  * genuine data movement when a retained nest's processor rectangle
-///    changes, executed through the redistributor's payload-agnostic
-///    exchange seam with conservation / integrity invariants — an injected
-///    payload fault surfaces as a CheckError the engine answers by
-///    reinit_nest();
+///    changes, executed through the payload-agnostic exchange seam
+///    (exchange_payloads over env.comm, under env.payload_faults) with
+///    conservation / integrity invariants — an injected payload fault
+///    surfaces as a CheckError the engine answers by reinit_nest();
 ///  * per-interval integration on the nest's processor rectangle, with the
 ///    neighbour/halo traffic it generated reported back;
 ///  * a state fingerprint contribution (byte-identical determinism) and an
@@ -44,7 +44,6 @@ namespace stormtrack {
 
 class Executor;
 class MetricsRegistry;
-class Redistributor;
 class WeatherModel;
 
 /// Tunables of the particle-advection workload (particles.hpp). Lives here
@@ -64,14 +63,15 @@ struct ParticleParams {
 
 /// Everything a workload operation may touch, lent by the engine for the
 /// duration of one call. All pointers are non-owning; comm / grid_px /
-/// weather / redistributor are always set, executor and metrics may be
-/// null (serial integration, no counter sink), data_movement may be null
-/// (traffic not wanted).
+/// weather are always set, payload_faults is null unless the run injects
+/// faults, executor and metrics may be null (serial integration, no counter
+/// sink), data_movement may be null (traffic not wanted).
 struct WorkloadEnv {
   const SimComm* comm = nullptr;          ///< Machine communicator.
   int grid_px = 0;                        ///< Full process-grid width.
   const WeatherModel* weather = nullptr;  ///< Parent model (init + winds).
-  const Redistributor* redistributor = nullptr;  ///< Data-movement seam.
+  /// Drops/corrupts moved payloads under fault injection; null = none.
+  PayloadFaultHook* payload_faults = nullptr;
   MetricsRegistry* metrics = nullptr;     ///< `workload.*` counter sink.
   Executor* executor = nullptr;           ///< Null = serial integration.
   /// When set, data movement performed by move_nest() is accumulated here
@@ -97,9 +97,9 @@ class INestWorkload {
   virtual void delete_nest(int id) = 0;
 
   /// Genuinely move nest \p id's data from \p old_rect to \p new_rect
-  /// through env.redistributor. Throws CheckError when the moved payload
-  /// was lost or damaged in flight (fault injection) — the state is then
-  /// unusable and the engine must reinit_nest().
+  /// over env.comm, under env.payload_faults. Throws CheckError when the
+  /// moved payload was lost or damaged in flight (fault injection) — the
+  /// state is then unusable and the engine must reinit_nest().
   virtual void move_nest(int id, const Rect& old_rect, const Rect& new_rect,
                          const WorkloadEnv& env) = 0;
 

@@ -32,10 +32,10 @@ void FieldWorkload::move_nest(int id, const Rect& old_rect,
   LiveNest& nest = nests_.at(id);
   // redistribute_field verifies conservation + bit-exact integrity
   // internally; an injected payload fault propagates as CheckError.
-  RedistMetrics moved;
-  nest.field = env.redistributor->redistribute_field(
-      nest.field, old_rect, new_rect, env.grid_px, &moved);
-  if (env.data_movement != nullptr) *env.data_movement += moved.traffic;
+  TrafficReport moved;
+  nest.field = redistribute_field(*env.comm, nest.field, old_rect, new_rect,
+                                  env.grid_px, env.payload_faults, &moved);
+  if (env.data_movement != nullptr) *env.data_movement += moved;
 }
 
 void FieldWorkload::reinit_nest(int id, const WorkloadEnv& env) {

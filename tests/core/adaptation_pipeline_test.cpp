@@ -25,7 +25,7 @@ class ManagerTest : public ::testing::Test {
 };
 
 TEST_F(ManagerTest, FirstEventAllInserted) {
-  ReallocationManager mgr(machine_, models_.model, models_.truth,
+  AdaptationPipeline mgr(machine_, models_.model, models_.truth,
                           ManagerConfig{});
   const std::vector<NestSpec> active{nest(1, 200, 200), nest(2, 300, 250)};
   const StepOutcome out = mgr.apply(active);
@@ -38,7 +38,7 @@ TEST_F(ManagerTest, FirstEventAllInserted) {
 }
 
 TEST_F(ManagerTest, RetainedNestsPayRedistribution) {
-  ReallocationManager mgr(machine_, models_.model, models_.truth,
+  AdaptationPipeline mgr(machine_, models_.model, models_.truth,
                           ManagerConfig{});
   mgr.apply(std::vector<NestSpec>{nest(1, 200, 200), nest(2, 300, 250)});
   // Delete 2, keep 1, add a much bigger 3: nest 1's processor share shrinks
@@ -55,9 +55,9 @@ TEST_F(ManagerTest, RetainedNestsPayRedistribution) {
 TEST_F(ManagerTest, DiffusionOverlapAtLeastScratchOnAverage) {
   ManagerConfig cfg;
   cfg.strategy = "diffusion";
-  ReallocationManager diff(machine_, models_.model, models_.truth, cfg);
+  AdaptationPipeline diff(machine_, models_.model, models_.truth, cfg);
   cfg.strategy = "scratch";
-  ReallocationManager scratch(machine_, models_.model, models_.truth, cfg);
+  AdaptationPipeline scratch(machine_, models_.model, models_.truth, cfg);
 
   double d_sum = 0.0, s_sum = 0.0;
   std::vector<std::vector<NestSpec>> steps{
@@ -77,19 +77,19 @@ TEST_F(ManagerTest, DiffusionOverlapAtLeastScratchOnAverage) {
 TEST_F(ManagerTest, StrategiesCommitTheirNamesake) {
   ManagerConfig cfg;
   cfg.strategy = "scratch";
-  ReallocationManager scratch(machine_, models_.model, models_.truth, cfg);
+  AdaptationPipeline scratch(machine_, models_.model, models_.truth, cfg);
   const std::vector<NestSpec> a{nest(1, 200, 200), nest(2, 300, 250)};
   EXPECT_EQ(scratch.apply(a).chosen, "scratch");
 
   cfg.strategy = "diffusion";
-  ReallocationManager diff(machine_, models_.model, models_.truth, cfg);
+  AdaptationPipeline diff(machine_, models_.model, models_.truth, cfg);
   EXPECT_EQ(diff.apply(a).chosen, "diffusion");
 }
 
 TEST_F(ManagerTest, DynamicPicksSmallerPredictedTotal) {
   ManagerConfig cfg;
   cfg.strategy = "dynamic";
-  ReallocationManager mgr(machine_, models_.model, models_.truth, cfg);
+  AdaptationPipeline mgr(machine_, models_.model, models_.truth, cfg);
   mgr.apply(std::vector<NestSpec>{nest(1, 200, 200), nest(2, 300, 250)});
   const StepOutcome out =
       mgr.apply(std::vector<NestSpec>{nest(1, 200, 200), nest(3, 260, 260)});
@@ -102,7 +102,7 @@ TEST_F(ManagerTest, DynamicPicksSmallerPredictedTotal) {
 }
 
 TEST_F(ManagerTest, EmptyActiveSetClearsAllocation) {
-  ReallocationManager mgr(machine_, models_.model, models_.truth,
+  AdaptationPipeline mgr(machine_, models_.model, models_.truth,
                           ManagerConfig{});
   mgr.apply(std::vector<NestSpec>{nest(1, 200, 200)});
   const StepOutcome out = mgr.apply(std::vector<NestSpec>{});
@@ -112,7 +112,7 @@ TEST_F(ManagerTest, EmptyActiveSetClearsAllocation) {
 }
 
 TEST_F(ManagerTest, DuplicateIdsRejected) {
-  ReallocationManager mgr(machine_, models_.model, models_.truth,
+  AdaptationPipeline mgr(machine_, models_.model, models_.truth,
                           ManagerConfig{});
   const std::vector<NestSpec> dup{nest(1, 200, 200), nest(1, 300, 300)};
   EXPECT_THROW((void)mgr.apply(dup), CheckError);
@@ -121,7 +121,7 @@ TEST_F(ManagerTest, DuplicateIdsRejected) {
 TEST_F(ManagerTest, PredictedRedistNeverExceedsSimulatedActual) {
   // The §IV-C-1 predictor (pair max) lower-bounds the simulated network's
   // single-port+contention charge on direct networks.
-  ReallocationManager mgr(machine_, models_.model, models_.truth,
+  AdaptationPipeline mgr(machine_, models_.model, models_.truth,
                           ManagerConfig{});
   mgr.apply(std::vector<NestSpec>{nest(1, 200, 200), nest(2, 300, 250)});
   const StepOutcome out =

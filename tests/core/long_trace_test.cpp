@@ -86,7 +86,7 @@ TEST(LongTrace, AlternatingEmptyAndFullSets) {
   ModelStack models;
   const Machine machine = Machine::bluegene(256);
   ManagerConfig cfg;
-  ReallocationManager manager(machine, models.model, models.truth, cfg);
+  AdaptationPipeline manager(machine, models.model, models.truth, cfg);
   NestSpec n;
   n.region = Rect{0, 0, 70, 70};
   n.shape = NestShape{210, 210};

@@ -61,24 +61,6 @@ TEST(FaultInjector, PermanentReadAlwaysFiresAndWildcardMatchesAnyRank) {
   inj.begin_point(0);
   for (int r = 0; r < 3; ++r)
     EXPECT_EQ(inj.check_split_read(r), SplitReadFault::kPermanent);
-  EXPECT_THROW(inj.inject_split_read(0), FaultError);
-}
-
-TEST(FaultInjector, InjectSplitReadThrowsTransientFlaggedFaultError) {
-  FaultPlan plan;
-  FaultEvent e = event(FaultKind::kSplitReadTransient, 0, 2);
-  e.attempts = 1;
-  plan.events.push_back(e);
-  FaultInjector inj(plan);
-  inj.begin_point(0);
-  try {
-    inj.inject_split_read(2);
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& err) {
-    EXPECT_TRUE(err.transient());
-    EXPECT_EQ(err.kind(), FaultKind::kSplitReadTransient);
-  }
-  inj.inject_split_read(2);  // budget spent: no throw
 }
 
 TEST(FaultInjector, GuardTaskMatchesSiteAndIndex) {

@@ -289,6 +289,9 @@ TEST_F(CoupledRecoveryTest, PayloadFaultsTriggerFieldReinitNotCrash) {
       EXPECT_EQ(n.field.height(), n.spec.shape.ny);
     }
   }
+  // The faults really struck moved payloads and were answered by reinit.
+  EXPECT_GT(inj.stats().payload_drops, 0);
+  EXPECT_GE(sim.metrics().get("recovery.field_reinits").count, 1);
 }
 
 TEST_F(CoupledRecoveryTest, TrackerSnapshotRoundTrips) {

@@ -73,13 +73,14 @@ TEST_F(PipelineTest, NestFieldsSurviveRedistribution) {
   const NestField field(driver.weather().qcloud(), nest.region);
 
   const Machine bgl = Machine::bluegene(256);
-  Redistributor redist(bgl.comm());
-  RedistMetrics metrics;
-  const Grid2D<double> moved = redist.redistribute_field(
-      field.data(), Rect{0, 0, 8, 8}, Rect{4, 9, 6, 5}, bgl.grid_px(),
-      &metrics);
+  const Grid2D<double> moved =
+      redistribute_field(bgl.comm(), field.data(), Rect{0, 0, 8, 8},
+                         Rect{4, 9, 6, 5}, bgl.grid_px());
   EXPECT_EQ(moved, field.data());
-  EXPECT_EQ(metrics.total_points,
+  EXPECT_EQ(redistribution_cost(field.shape(), Rect{0, 0, 8, 8},
+                                Rect{4, 9, 6, 5}, bgl.grid_px(),
+                                kDefaultBytesPerPoint, &bgl.comm())
+                .total_points,
             static_cast<std::int64_t>(field.shape().nx) * field.shape().ny);
 }
 

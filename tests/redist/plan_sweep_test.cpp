@@ -82,7 +82,6 @@ TEST_P(PlanSweep, FieldRoundTripOnRandomRects) {
   Torus3D topo(8, 8, 16);
   RowMajorMapping map(1024);
   SimComm comm(topo, map);
-  const Redistributor redist(comm, 8);
   for (int trial = 0; trial < 5; ++trial) {
     const int nx = static_cast<int>(rng.uniform_int(10, 80));
     const int ny = static_cast<int>(rng.uniform_int(10, 80));
@@ -91,7 +90,7 @@ TEST_P(PlanSweep, FieldRoundTripOnRandomRects) {
       for (int x = 0; x < nx; ++x) field(x, y) = rng.uniform();
     const Rect a = random_rect(rng);
     const Rect b = random_rect(rng);
-    EXPECT_EQ(redist.redistribute_field(field, a, b, kGridPx), field);
+    EXPECT_EQ(redistribute_field(comm, field, a, b, kGridPx), field);
   }
 }
 

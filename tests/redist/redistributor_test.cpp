@@ -15,7 +15,6 @@ class RedistributorTest : public ::testing::Test {
   Torus3D topo_{8, 8, 16};
   RowMajorMapping map_{1024};
   SimComm comm_{topo_, map_};
-  Redistributor redist_{comm_, 8};  // 8 bytes/point for easy accounting
 };
 
 TEST_F(RedistributorTest, PlanConservesBytes) {
@@ -67,12 +66,12 @@ TEST_F(RedistributorTest, PureTranslationHasZeroOverlap) {
 
 TEST_F(RedistributorTest, MetricsFromComm) {
   const NestShape nest{64, 64};
-  const RedistMetrics m =
-      redist_.redistribute(nest, Rect{0, 0, 8, 8}, Rect{16, 16, 8, 8}, 32);
-  EXPECT_GT(m.traffic.modeled_time, 0.0);
-  EXPECT_GT(m.traffic.hop_bytes, 0);
+  const RedistCostSummary m = redistribution_cost(
+      nest, Rect{0, 0, 8, 8}, Rect{16, 16, 8, 8}, 32, 8, &comm_);
+  EXPECT_GT(m.traffic().modeled_time, 0.0);
+  EXPECT_GT(m.traffic().hop_bytes, 0);
   EXPECT_EQ(m.total_points, 64 * 64);
-  EXPECT_DOUBLE_EQ(m.overlap_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(m.overlap_fraction(), 0.0);
 }
 
 TEST_F(RedistributorTest, FieldRoundTripPreservesValues) {
@@ -83,23 +82,31 @@ TEST_F(RedistributorTest, FieldRoundTripPreservesValues) {
   for (int y = 0; y < 53; ++y)
     for (int x = 0; x < 37; ++x) field(x, y) = rng.uniform();
 
-  RedistMetrics metrics;
-  const Grid2D<double> out = redist_.redistribute_field(
-      field, Rect{0, 0, 5, 7}, Rect{9, 3, 4, 4}, 32, &metrics);
+  TrafficReport traffic;
+  const Grid2D<double> out =
+      redistribute_field(comm_, field, Rect{0, 0, 5, 7}, Rect{9, 3, 4, 4}, 32,
+                         nullptr, &traffic);
   EXPECT_EQ(out, field);
-  EXPECT_EQ(metrics.total_points, 37 * 53);
-  EXPECT_GT(metrics.traffic.total_bytes, 0);
+  EXPECT_GT(traffic.total_bytes, 0);
+  EXPECT_EQ(redistribution_cost(NestShape{37, 53}, Rect{0, 0, 5, 7},
+                                Rect{9, 3, 4, 4}, 32, 8, &comm_)
+                .total_points,
+            37 * 53);
 }
 
 TEST_F(RedistributorTest, FieldRoundTripWithOverlappingRects) {
   Grid2D<double> field(40, 40);
   for (int y = 0; y < 40; ++y)
     for (int x = 0; x < 40; ++x) field(x, y) = x * 100.0 + y;
-  RedistMetrics metrics;
-  const Grid2D<double> out = redist_.redistribute_field(
-      field, Rect{0, 0, 6, 6}, Rect{0, 0, 8, 8}, 32, &metrics);
+  TrafficReport traffic;
+  const Grid2D<double> out =
+      redistribute_field(comm_, field, Rect{0, 0, 6, 6}, Rect{0, 0, 8, 8}, 32,
+                         nullptr, &traffic);
   EXPECT_EQ(out, field);
-  EXPECT_GT(metrics.overlap_fraction, 0.0);
+  EXPECT_GT(redistribution_cost(NestShape{40, 40}, Rect{0, 0, 6, 6},
+                                Rect{0, 0, 8, 8}, 32, 8, &comm_)
+                .overlap_fraction(),
+            0.0);
 }
 
 TEST_F(RedistributorTest, OverlapGrowsWithRectOverlap) {
@@ -143,7 +150,9 @@ TEST_F(RedistributorTest, MoreProcsThanPointsStillConserves) {
 }
 
 TEST_F(RedistributorTest, BadBytesPerPointThrows) {
-  EXPECT_THROW(Redistributor(comm_, 0), CheckError);
+  EXPECT_THROW((void)redistribution_cost(NestShape{4, 4}, Rect{0, 0, 2, 2},
+                                         Rect{0, 0, 2, 2}, 32, 0, &comm_),
+               CheckError);
   EXPECT_THROW((void)plan_redistribution(NestShape{4, 4}, Rect{0, 0, 2, 2},
                                          Rect{0, 0, 2, 2}, 32, -1),
                CheckError);
@@ -158,14 +167,12 @@ TEST(RedistributorTopoEffect, FoldedMappingLowersHopBytes) {
   RandomMapping rnd(1024, 7);
   SimComm folded(topo, fold);
   SimComm random(topo, rnd);
-  Redistributor r_fold(folded, 8);
-  Redistributor r_rand(random, 8);
   const NestShape nest{300, 300};
-  const auto m_fold =
-      r_fold.redistribute(nest, Rect{0, 0, 13, 16}, Rect{2, 2, 13, 16}, 32);
-  const auto m_rand =
-      r_rand.redistribute(nest, Rect{0, 0, 13, 16}, Rect{2, 2, 13, 16}, 32);
-  EXPECT_LT(m_fold.traffic.hop_bytes, m_rand.traffic.hop_bytes);
+  const RedistCostSummary m_fold = redistribution_cost(
+      nest, Rect{0, 0, 13, 16}, Rect{2, 2, 13, 16}, 32, 8, &folded);
+  const RedistCostSummary m_rand = redistribution_cost(
+      nest, Rect{0, 0, 13, 16}, Rect{2, 2, 13, 16}, 32, 8, &random);
+  EXPECT_LT(m_fold.traffic().hop_bytes, m_rand.traffic().hop_bytes);
 }
 
 }  // namespace

@@ -145,8 +145,7 @@ TEST_F(DistributedDynamics, StepAfterRedistributionStaysExact) {
     (void)before.step(field);
     reference = step_reference(reference, p);
   }
-  const Redistributor redist(comm_, 8);
-  field = redist.redistribute_field(field, old_rect, new_rect, 16);
+  field = redistribute_field(comm_, field, old_rect, new_rect, 16);
   DistributedNestStepper after(comm_, nest, new_rect, 16, p);
   for (int s = 0; s < 3; ++s) {
     (void)after.step(field);

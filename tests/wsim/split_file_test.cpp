@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "pda/pda.hpp"
 #include "util/check.hpp"
@@ -125,6 +127,70 @@ TEST(SplitFile, PatchedTileSizeIsRefusedBeforeAllocating) {
   ASSERT_EQ(result.lost_files.size(), 2u);
   EXPECT_EQ(result.lost_files[0].file_rank, 1);
   EXPECT_EQ(result.lost_files[1].file_rank, 2);
+  std::filesystem::remove_all(dir);
+}
+
+/// Overwrite int32 fields of rank \p rank's file at the given byte offsets.
+/// The six-int header follows the 4-byte magic: rank at 4, grid_px at 8,
+/// subdomain x/y/w/h at 12/16/20/24; the first tile's w/h sit at 28/32.
+void patch_ints(const std::filesystem::path& dir, int rank,
+                std::initializer_list<std::pair<int, std::int32_t>> fields) {
+  std::fstream io(dir / ("wrfout_d01_" + std::to_string(rank) + ".bin"),
+                  std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(io.is_open());
+  for (const auto& [offset, value] : fields) {
+    io.seekp(offset);
+    io.write(reinterpret_cast<const char*>(&value), sizeof value);
+  }
+}
+
+TEST(SplitFile, ConsistentHugeSubdomainIsRefusedBeforeAllocating) {
+  const WeatherModel m = small_model();
+  const auto files = write_split_files(m, 4, 4);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "stormtrack_splitfile_huge";
+  std::filesystem::remove_all(dir);
+  for (const SplitFile& f : files) save_split_file(f, dir);
+  // Header subdomain and first tile agree on 2^31-1 x 2^31-1 cells, so the
+  // tile check alone would pass; the file is far too short for them.
+  patch_ints(dir, 3, {{20, 0x7fffffff}, {24, 0x7fffffff},
+                      {28, 0x7fffffff}, {32, 0x7fffffff}});
+  EXPECT_THROW((void)load_split_file(dir, 3), CheckError);
+
+  PdaConfig cfg;
+  cfg.analysis_procs = 4;
+  const PdaResult result = parallel_data_analysis_from_dir(
+      dir, static_cast<int>(files.size()), cfg);
+  ASSERT_EQ(result.lost_files.size(), 1u);
+  EXPECT_EQ(result.lost_files[0].file_rank, 3);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SplitFile, FileOfAnotherRankIsRefused) {
+  const WeatherModel m = small_model();
+  const auto files = write_split_files(m, 4, 2);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "stormtrack_splitfile_renamed";
+  std::filesystem::remove_all(dir);
+  for (const SplitFile& f : files) save_split_file(f, dir);
+  std::filesystem::rename(dir / "wrfout_d01_7.bin", dir / "wrfout_d01_0.bin");
+  EXPECT_THROW((void)load_split_file(dir, 0), CheckError);
+  EXPECT_EQ(load_split_file(dir, 6).rank, 6);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SplitFile, BadGridWidthOrNegativeSubdomainIsRefused) {
+  const WeatherModel m = small_model();
+  const auto files = write_split_files(m, 4, 2);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "stormtrack_splitfile_badheader";
+  std::filesystem::remove_all(dir);
+  for (const SplitFile& f : files) save_split_file(f, dir);
+  patch_ints(dir, 1, {{8, 0}});   // grid_px 0
+  patch_ints(dir, 2, {{12, -1}}); // negative origin, tiles still match
+  EXPECT_THROW((void)load_split_file(dir, 1), CheckError);
+  EXPECT_THROW((void)load_split_file(dir, 2), CheckError);
+  EXPECT_EQ(load_split_file(dir, 3).rank, 3);
   std::filesystem::remove_all(dir);
 }
 

@@ -40,14 +40,13 @@ std::uint64_t fingerprint_of(const INestWorkload& w) {
   return fp.value();
 }
 
-/// A real machine + weather + redistributor backing every WorkloadEnv, so
+/// A real machine + weather backing every WorkloadEnv, so
 /// the workload calls run against the same components the engine lends.
 class WorkloadLayerTest : public ::testing::Test {
  protected:
   WorkloadLayerTest()
       : machine_(Machine::bluegene(256)),
-        weather_(WeatherConfig::mumbai_2005(), 7),
-        redist_(machine_.comm()) {}
+        weather_(WeatherConfig::mumbai_2005(), 7) {}
 
   WorkloadEnv env(TrafficReport* movement = nullptr,
                   Executor* executor = nullptr) {
@@ -55,7 +54,6 @@ class WorkloadLayerTest : public ::testing::Test {
     e.comm = &machine_.comm();
     e.grid_px = machine_.grid_px();
     e.weather = &weather_;
-    e.redistributor = &redist_;
     e.metrics = &metrics_;
     e.executor = executor;
     e.data_movement = movement;
@@ -64,7 +62,6 @@ class WorkloadLayerTest : public ::testing::Test {
 
   Machine machine_;
   WeatherModel weather_;
-  Redistributor redist_;
   MetricsRegistry metrics_;
 };
 
